@@ -27,7 +27,6 @@ from .bounds import (
     tail_bound,
 )
 from .model import (
-    ExponentialModel,
     HeatProblem,
     QuadratureError,
     SampleTrace,
@@ -55,7 +54,6 @@ from .pencil import (
     estimate_poles,
     fit_amplitudes,
     poles_to_rates,
-    rescale_amplitudes,
 )
 from .pipeline import (
     IdentificationError,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, model, pipeline, reference
+from . import __version__, bounds, model, pencil, pipeline, reference
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -277,41 +277,20 @@ def _cmd_identify(args) -> int:
 
 
 def _bound_inputs_from_payload(data: dict, priors: tuple[float, float]) -> tuple:
+    cert = data.get("certificate")
+    if not cert:
+        raise InputError("input must be an identification result with a certificate block")
     m0, alpha0 = priors
-    if data.get("certificate"):
-        cert = data["certificate"]
-        inputs = bounds.BoundInputs(
-            m0=m0, alpha0=alpha0,
-            m=int(cert["M"]), n=int(cert["N"]), l=int(cert["L"]),
-            t1=float(cert["T1"]), ts=float(cert["Ts"]),
-            sigma_m=float(cert["sigma_M"]),
-            y1_norm=float(cert["Y1_norm_2"]),
-            y0_trunc_gap=float(cert["Y0M_gap_2"]),
-            kappa_xm=float(cert["kappa_XM"]),
-        )
-        return inputs, cert.get("z_tilde"), cert.get("mode_index"), data.get("alpha_hat")
-    if "diagnostics" in data:
-        diag = data["diagnostics"]
-        try:
-            inputs = bounds.BoundInputs(
-                m0=m0, alpha0=alpha0,
-                m=int(diag["order"]),
-                n=int(diag["sample_count"]),
-                l=int(diag["pencil_parameter"]),
-                t1=float(data["t1"]),
-                ts=float(diag["period"]),
-                sigma_m=float(diag["sigma_M"]),
-                y1_norm=float(diag["y1_norm_2"]),
-                y0_trunc_gap=float(diag["y0_trunc_gap_2"]),
-                kappa_xm=float(diag["kappa_xm"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"diagnostics payload is missing {exc}") from exc
-        return inputs, data.get("z_tilde"), data.get("mode_index"), data.get("alpha_hat")
-    raise InputError(
-        "input must be an identification result with a certificate block or a "
-        "raw diagnostics payload"
+    inputs = bounds.BoundInputs(
+        m0=m0, alpha0=alpha0,
+        m=int(cert["M"]), n=int(cert["N"]), l=int(cert["L"]),
+        t1=float(cert["T1"]), ts=float(cert["Ts"]),
+        sigma_m=float(cert["sigma_M"]),
+        y1_norm=float(cert["Y1_norm_2"]),
+        y0_trunc_gap=float(cert["Y0M_gap_2"]),
+        kappa_xm=float(cert["kappa_XM"]),
     )
+    return inputs, cert.get("z_tilde"), cert.get("mode_index"), data.get("alpha_hat")
 
 
 def _cmd_bounds(args) -> int:
@@ -448,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Identify the diffusivity and initial temperature profile of a "
             "1-D heat equation from a single boundary trace under a flux-step "
-            "schedule. The HEATPENCIL_SEED environment variable is reserved "
-            "for future noise injection; the current pipeline is deterministic."
+            "schedule."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -475,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("bounds", help="emit the error certificate")
-    p.add_argument("input", help="identification result JSON or raw diagnostics JSON")
+    p.add_argument("input", help="identification result JSON with a certificate block")
     p.add_argument("priors", help="JSON file with M0 and alpha0")
     p.add_argument("--out", required=True, help="output path for the certificate JSON")
     p.set_defaults(func=_cmd_bounds)
@@ -497,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError, ValueError, model.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except pipeline.IdentificationError as exc:
+    except (pipeline.IdentificationError, pencil.PencilError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     except bounds.CertificateUnavailableError as exc:

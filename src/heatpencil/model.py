@@ -129,29 +129,6 @@ class SampleTrace:
         return self.t_start + self.period * np.arange(self.values.size)
 
 
-@dataclass(frozen=True)
-class ExponentialModel:
-    """Finite sum of decaying exponentials: sum of amp * exp(-rate * t)."""
-
-    terms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple((float(a), float(r)) for a, r in self.terms)
-        rates = [r for _, r in terms]
-        if any(r < 0 for r in rates):
-            raise ValueError("decay rates must be nonnegative")
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise ValueError("decay rates must be strictly increasing")
-        object.__setattr__(self, "terms", terms)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
-        for amp, rate in self.terms:
-            total = total + amp * np.exp(-rate * t)
-        return total if total.ndim else float(total)
-
-
 def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:
     """Evaluate sum of c_n * cos(n*pi*x) on scalar or array ``x``."""
     x = np.asarray(x, dtype=float)

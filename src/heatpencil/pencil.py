@@ -6,6 +6,8 @@ from the singular spectrum, recovers the poles ``z_i`` as eigenvalues of a
 rank-truncated pencil, converts them to continuous-time decay rates, and fits
 the amplitudes by linear least squares.  Only real nonincreasing signals are
 supported: complex or growing poles are treated as artifacts and dropped.
+The spectral inputs of the error certificate are computed separately, from
+the factors the pole solve keeps, by :func:`certificate_diagnostics`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import DefectiveEigenbasisError, condition_number
 from .model import SampleTrace
 
 # Eigenvalues whose relative imaginary part exceeds this are discarded as
@@ -102,12 +105,14 @@ def build_hankel(trace: SampleTrace, config: PencilConfig | None = None) -> Hank
     return HankelSet(y0=y0, y1=y1, y=y, pencil_parameter=length, sample_count=n)
 
 
-def detect_order(y: np.ndarray, epsilon: float, max_order: int | None = None) -> int:
-    """Count singular values of ``y`` at or above ``epsilon`` relative to the largest.
+def detect_order(
+    sigma: np.ndarray, epsilon: float, max_order: int | None = None
+) -> int:
+    """Count singular values at or above ``epsilon`` relative to the largest.
 
-    An all-zero matrix reports order 0 (no signal), not an error.
+    ``sigma`` is a singular spectrum in descending order.  An all-zero
+    spectrum reports order 0 (no signal), not an error.
     """
-    sigma = np.linalg.svd(np.asarray(y, dtype=float), compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     order = int(np.sum(sigma / sigma[0] >= epsilon))
@@ -117,8 +122,47 @@ def detect_order(y: np.ndarray, epsilon: float, max_order: int | None = None) ->
 
 
 @dataclass(frozen=True)
+class TruncatedPencil:
+    """Rank-M factors of Y0 from the pole solve, with the pencil they factor.
+
+    ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
+    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.
+    """
+
+    y0: np.ndarray = field(repr=False)
+    y1: np.ndarray = field(repr=False)
+    um: np.ndarray = field(repr=False)
+    sv: np.ndarray = field(repr=False)
+    vm: np.ndarray = field(repr=False)
+
+
+def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, TruncatedPencil]:
+    """Eigenvalues of the rank-``order`` truncated pencil, sorted by real part.
+
+    Returns the possibly complex eigenvalues together with the truncated
+    factors, from which :func:`certificate_diagnostics` reads the error
+    certificate's spectral inputs.
+    """
+    rows, length = h.y0.shape
+    if not (1 <= order <= min(rows, length)):
+        raise ValueError(f"order {order} invalid for a {rows}x{length} pencil")
+    u, s, vt = np.linalg.svd(h.y0, full_matrices=False)
+    if s[order - 1] == 0.0:
+        raise RankDeficiencyError(
+            f"order {order} exceeds the rank of the data (sigma_{order} = 0)"
+        )
+    um = u[:, :order]
+    vm = vt[:order, :].T
+    a = s[:order]
+    z_e = (um.T @ h.y1 @ vm) / a[:, None]
+    eigvals = np.linalg.eigvals(z_e)
+    eigvals = eigvals[np.argsort(-eigvals.real)]
+    return eigvals, TruncatedPencil(y0=h.y0, y1=h.y1, um=um, sv=a, vm=vm)
+
+
+@dataclass(frozen=True)
 class PoleDiagnostics:
-    """Spectral quantities recorded during the pole solve.
+    """Spectral inputs of the error certificate.
 
     ``y0_trunc_gap_2`` is the spectral norm of the difference between the
     rank-M truncation of Y0 and Y0 itself, computed by explicit subtraction
@@ -133,56 +177,29 @@ class PoleDiagnostics:
     y1_norm_2: float
     y0_trunc_gap_2: float
     kappa_xm: float
-    y0_singular_values: np.ndarray = field(repr=False)
 
 
-def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, PoleDiagnostics]:
-    """Eigenvalues of the rank-``order`` truncated pencil, sorted by real part.
+def certificate_diagnostics(pencil: TruncatedPencil) -> PoleDiagnostics:
+    """sigma_M, the norm of Y1, the truncation gap and kappa of one pole solve.
 
-    Returns the possibly complex eigenvalues together with the diagnostics
-    consumed by the error certificate.
+    A numerically singular eigenvector matrix gives ``kappa_xm = inf``.
     """
-    rows, length = h.y0.shape
-    if not (1 <= order <= min(rows, length)):
-        raise ValueError(f"order {order} invalid for a {rows}x{length} pencil")
-    u, s, vt = np.linalg.svd(h.y0, full_matrices=False)
-    sigma_m = float(s[order - 1])
-    if sigma_m == 0.0:
-        raise RankDeficiencyError(
-            f"order {order} exceeds the rank of the data (sigma_{order} = 0)"
-        )
-    um = u[:, :order]
-    vm = vt[:order, :].T
-    a = s[:order]
-    z_e = (um.T @ h.y1 @ vm) / a[:, None]
-    eigvals = np.linalg.eigvals(z_e)
-    eigvals = eigvals[np.argsort(-eigvals.real)]
-
+    um, a, vm = pencil.um, pencil.sv, pencil.vm
     y0m = (um * a) @ vm.T
-    gap = float(np.linalg.norm(y0m - h.y0, 2))
-    y1_norm = float(np.linalg.norm(h.y1, 2))
-    kappa = _pencil_eigenbasis_condition(um, vm, a, h.y1)
-    diag = PoleDiagnostics(
-        sigma_m=sigma_m,
-        y1_norm_2=y1_norm,
+    gap = float(np.linalg.norm(y0m - pencil.y0, 2))
+    # Eigenvector matrix of the full (L x L) truncated product, unit columns.
+    product = ((vm / a) @ um.T) @ pencil.y1
+    _, eigvecs = np.linalg.eig(product)
+    try:
+        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
+    except DefectiveEigenbasisError:
+        kappa = float("inf")
+    return PoleDiagnostics(
+        sigma_m=float(a[-1]),
+        y1_norm_2=float(np.linalg.norm(pencil.y1, 2)),
         y0_trunc_gap_2=gap,
         kappa_xm=kappa,
-        y0_singular_values=s,
     )
-    return eigvals, diag
-
-
-def _pencil_eigenbasis_condition(um, vm, a, y1) -> float:
-    # Eigenvector matrix of the full (L x L) truncated product, unit columns.
-    product = ((vm / a) @ um.T) @ y1
-    _, eigvecs = np.linalg.eig(product)
-    norms = np.linalg.norm(eigvecs, axis=0)
-    if np.any(norms == 0.0):
-        return float("inf")
-    sv = np.linalg.svd(eigvecs / norms, compute_uv=False)
-    if sv[-1] <= 1e3 * np.finfo(float).eps * sv[0]:
-        return float("inf")
-    return float((sv[0] / sv[-1]).real)
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
@@ -206,9 +223,8 @@ def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
 def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
     """Least-squares amplitudes of ``sum_i R_i exp(-rate_i * period * k)``.
 
-    The fit runs on the trace's own clock (k = 0 at ``t_start``); use
-    :func:`rescale_amplitudes` to move the amplitudes to absolute time.
-    Solved through the SVD, never the normal equations.
+    The fit runs on the trace's own clock (k = 0 at ``t_start``).  Solved
+    through the SVD, never the normal equations.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.size == 0:
@@ -233,43 +249,24 @@ def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
     return amps
 
 
-def rescale_amplitudes(amps: np.ndarray, rates: np.ndarray, t_start: float) -> np.ndarray:
-    """Move local-clock amplitudes to absolute time: ``R * exp(rate * t_start)``."""
-    return np.asarray(amps) * np.exp(np.asarray(rates) * t_start)
-
-
 @dataclass(frozen=True)
 class PencilEstimate:
-    """Full estimator output for one trace."""
+    """Full estimator output for one trace.
+
+    ``truncated_pencil`` holds the factors of the pole solve at the detected
+    order (None when no signal was detected); ``order`` counts the poles kept
+    after complex and growing ones are discarded.
+    """
 
     order: int
     poles: np.ndarray = field(repr=False)
     rates: np.ndarray = field(repr=False)
     amplitudes: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
-    sigma_m: float
-    y1_norm_2: float
-    y0_trunc_gap_2: float
-    kappa_xm: float
+    truncated_pencil: TruncatedPencil | None = field(repr=False)
     pencil_parameter: int
     sample_count: int
     period: float
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "poles": self.poles.tolist(),
-            "rates": self.rates.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
-            "sigma": self.singular_values.tolist(),
-            "sigma_M": self.sigma_m,
-            "y1_norm_2": self.y1_norm_2,
-            "y0_trunc_gap_2": self.y0_trunc_gap_2,
-            "kappa_xm": self.kappa_xm,
-            "pencil_parameter": self.pencil_parameter,
-            "sample_count": self.sample_count,
-            "period": self.period,
-        }
 
     def reconstruct(self, k: np.ndarray) -> np.ndarray:
         """Evaluate the fitted exponential sum at sample indices ``k``."""
@@ -280,32 +277,37 @@ class PencilEstimate:
 
 
 def analyze(trace: SampleTrace, config: PencilConfig | None = None) -> PencilEstimate:
-    """Run the full estimator: order detection, poles, rates, amplitudes.
+    """Run the estimator: order detection, poles, rates, amplitudes.
 
-    Complex eigenvalue pairs and poles outside (0, 1 + 1e-9] are discarded
-    with a warning, reducing the reported order; poles within rounding of 1
-    are clamped to exactly 1 (the constant mode).
+    One SVD of Y gives both the detected order and the reported spectrum;
+    one SVD of Y0 gives the poles.  Complex eigenvalue pairs and poles
+    outside (0, 1 + 1e-9] are discarded with a warning, reducing the
+    reported order; poles within rounding of 1 are clamped to exactly 1 (the
+    constant mode).  An order detected on Y beyond the L columns of Y0
+    raises :class:`RankDeficiencyError`.
     """
     config = config or PencilConfig()
     h = build_hankel(trace, config)
-    order = detect_order(h.y, config.singular_threshold, config.max_order)
+    sigma_y = np.linalg.svd(h.y, compute_uv=False)
+    order = detect_order(sigma_y, config.singular_threshold, config.max_order)
     if order == 0:
         return PencilEstimate(
             order=0,
             poles=np.zeros(0),
             rates=np.zeros(0),
             amplitudes=np.zeros(0),
-            singular_values=np.linalg.svd(h.y, compute_uv=False),
-            sigma_m=0.0,
-            y1_norm_2=0.0,
-            y0_trunc_gap_2=0.0,
-            kappa_xm=float("nan"),
+            singular_values=sigma_y,
+            truncated_pencil=None,
             pencil_parameter=h.pencil_parameter,
             sample_count=h.sample_count,
             period=trace.period,
         )
-    sigma_y = np.linalg.svd(h.y, compute_uv=False)
-    eigvals, diag = estimate_poles(h, order)
+    if order > h.pencil_parameter:
+        raise RankDeficiencyError(
+            f"order {order} detected on Y exceeds the {h.pencil_parameter} "
+            "columns of Y0"
+        )
+    eigvals, truncated = estimate_poles(h, order)
 
     imag_ok = np.abs(eigvals.imag) <= _REALNESS_TOL * np.abs(eigvals)
     if not np.all(imag_ok):
@@ -331,10 +333,7 @@ def analyze(trace: SampleTrace, config: PencilConfig | None = None) -> PencilEst
         rates=rates,
         amplitudes=amplitudes,
         singular_values=sigma_y,
-        sigma_m=diag.sigma_m,
-        y1_norm_2=diag.y1_norm_2,
-        y0_trunc_gap_2=diag.y0_trunc_gap_2,
-        kappa_xm=diag.kappa_xm,
+        truncated_pencil=truncated,
         pencil_parameter=h.pencil_parameter,
         sample_count=h.sample_count,
         period=trace.period,

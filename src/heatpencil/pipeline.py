@@ -81,7 +81,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class FreeSpectrum:
-    """Absolute-time modes of the flux-free window plus pencil diagnostics."""
+    """Absolute-time modes of the flux-free window plus the pencil estimate."""
 
     rates: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
@@ -294,34 +294,40 @@ def build_design_matrix(alpha: float, times: np.ndarray, m_tilde: int) -> np.nda
     return np.exp(-alpha * np.outer(times, modes * modes) * PI_SQ)
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
+def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     """Singular values above max(shape) * eps relative to the largest."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > max(matrix.shape) * np.finfo(float).eps * sv[0]))
+    return int(np.sum(sv > max(shape) * np.finfo(float).eps * sv[0]))
+
+
+def _truncated_solution(u, s, vt, rhs: np.ndarray, k: int) -> np.ndarray:
+    return vt[:k].T @ ((u[:, :k].T @ rhs) / s[:k])
 
 
 def tsvd_solve(matrix: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     """Rank-k truncated-SVD least-squares solution."""
-    rank = numerical_rank(matrix)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    rank = _numerical_rank(s, matrix.shape)
     if not (1 <= k <= rank):
         raise ValueError(f"truncation rank {k} outside 1..rank = {rank}")
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return vt[:k].T @ ((u[:, :k].T @ rhs) / s[:k])
+    return _truncated_solution(u, s, vt, rhs, k)
 
 
-def gcv_select(matrix: np.ndarray, rhs: np.ndarray) -> tuple[int, np.ndarray]:
-    """Truncation rank minimizing ``|residual|^2 / (N - k)^2``.
+def gcv_select(
+    matrix: np.ndarray, rhs: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Truncation rank minimizing ``|residual|^2 / (N - k)^2``, and its solution.
 
-    Returns the selected rank and the full criterion curve for
-    k = 1..min(rank, N-1) (the criterion is undefined at k = N); exact ties
-    resolve to the smaller rank.
+    Returns the selected rank k, the full criterion curve for
+    k = 1..min(rank, N-1) (the criterion is undefined at k = N), and the
+    rank-k solution, equal to ``tsvd_solve(matrix, rhs, k)``; exact ties
+    resolve to the smaller rank.  The matrix is factored once.
     """
-    rank = numerical_rank(matrix)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    rank = _numerical_rank(s, matrix.shape)
     if rank == 0:
         raise ValueError("cannot cross-validate an all-zero matrix")
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     n = matrix.shape[0]
     rank = min(rank, n - 1)
     projections = u.T @ rhs
@@ -330,7 +336,8 @@ def gcv_select(matrix: np.ndarray, rhs: np.ndarray) -> tuple[int, np.ndarray]:
         solution = vt[:k].T @ (projections[:k] / s[:k])
         residual = float(np.sum((matrix @ solution - rhs) ** 2))
         curve[k - 1] = residual / (n - k) ** 2
-    return int(np.argmin(curve)) + 1, curve
+    k = int(np.argmin(curve)) + 1
+    return k, curve, _truncated_solution(u, s, vt, rhs, k)
 
 
 @dataclass(frozen=True)
@@ -405,8 +412,7 @@ def identify(
     alpha_hat, alpha_rec = refine_alpha_from_trace(trace_rec, alpha_step4, config)
 
     design = build_design_matrix(alpha_hat, trace_rec.times, config.m_tilde)
-    gcv_k, gcv_curve = gcv_select(design, trace_rec.values)
-    u0_hat = tsvd_solve(design, trace_rec.values, gcv_k)
+    gcv_k, gcv_curve, u0_hat = gcv_select(design, trace_rec.values)
 
     certificate = None
     if priors is not None and free is not None:
@@ -445,6 +451,7 @@ def _certificate_for(
     alpha0: float,
 ) -> bounds.ErrorCertificate | None:
     est = free.estimate
+    diag = pencil.certificate_diagnostics(est.truncated_pencil)
     inputs = bounds.BoundInputs(
         m0=m0,
         alpha0=alpha0,
@@ -453,10 +460,10 @@ def _certificate_for(
         l=est.pencil_parameter,
         t1=trace_free.t_start,
         ts=trace_free.period,
-        sigma_m=est.sigma_m,
-        y1_norm=est.y1_norm_2,
-        y0_trunc_gap=est.y0_trunc_gap_2,
-        kappa_xm=est.kappa_xm,
+        sigma_m=diag.sigma_m,
+        y1_norm=diag.y1_norm_2,
+        y0_trunc_gap=diag.y0_trunc_gap_2,
+        kappa_xm=diag.kappa_xm,
     )
     z_tilde = mode_index = None
     for n, rate, _ in free_modes:

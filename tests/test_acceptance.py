@@ -196,11 +196,12 @@ class TestCriterion6CertificateDominance:
             trace = sample(problem, 0.3, 0.01, 50)
             est = pencil.analyze(trace)
             assert est.order == 2
+            diag = pencil.certificate_diagnostics(est.truncated_pencil)
             inputs = bounds.BoundInputs(
                 m0=m0, alpha0=alpha0, m=est.order, n=est.sample_count,
                 l=est.pencil_parameter, t1=0.3, ts=0.01,
-                sigma_m=est.sigma_m, y1_norm=est.y1_norm_2,
-                y0_trunc_gap=est.y0_trunc_gap_2, kappa_xm=est.kappa_xm,
+                sigma_m=diag.sigma_m, y1_norm=diag.y1_norm_2,
+                y0_trunc_gap=diag.y0_trunc_gap_2, kappa_xm=diag.kappa_xm,
             )
             level = bounds.rho(inputs)
             assert level < 1.0

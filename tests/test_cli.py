@@ -114,6 +114,24 @@ class TestIdentify:
         assert rc == 2
         assert "nopriors.json" in capsys.readouterr().err
 
+    def test_pencil_error_exits_two_with_one_line(self, workspace, capsys):
+        # the fast mode (rate 200) is visible on the window's own clock but
+        # vanishes from the absolute-time refit, which is then rank deficient
+        traces_dir = run_simulate(workspace)
+        k = np.arange(50)
+        free = model.SampleTrace(0.3, 0.01, 1.0 + np.exp(-2.0 * k))
+        model.write_trace_csv(traces_dir / "free.csv", free)
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (DegenerateRatesError): ")
+        assert err.count("\n") == 1
+
     def test_byte_identical_result(self, workspace):
         traces_dir = run_simulate(workspace)
         out = workspace / "result.json"
@@ -169,27 +187,15 @@ class TestBounds:
         assert cert["rho"] < 1e-9
         assert cert["pole_bound"] < 1e-3
 
-    def test_raw_diagnostics_payload(self, workspace, tmp_path):
-        from heatpencil.pencil import analyze
-
-        problem = reference.reference_problem()
-        trace = model.sample(problem, 0.3, 0.01, 50)
-        payload = {
-            "diagnostics": analyze(trace).to_dict(),
-            "t1": 0.3,
-            "alpha_hat": 4.0,
-            "z_tilde": 0.6738,
-            "mode_index": 1,
-        }
-        path = tmp_path / "diag.json"
-        path.write_text(json.dumps(payload))
+    def test_result_without_certificate_rejected(self, workspace, capsys):
+        path = workspace / "bare.json"
+        path.write_text(json.dumps({"alpha_hat": 4.0, "certificate": None}))
         rc = main(
             ["bounds", str(path), str(workspace / "priors.json"),
-             "--out", str(tmp_path / "cert.json")]
+             "--out", str(workspace / "cert.json")]
         )
-        assert rc == 0
-        cert = json.loads((tmp_path / "cert.json").read_text())
-        assert cert["pole_bound"] == pytest.approx(5.2521e-4, rel=0.05)
+        assert rc == 2
+        assert "certificate block" in capsys.readouterr().err
 
     def test_unavailable_when_rho_too_large(self, workspace, capsys):
         result = self._result_path(workspace)

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from heatpencil import model
 from heatpencil.model import (
-    ExponentialModel,
     HeatProblem,
     QuadratureError,
     SampleTrace,
@@ -260,22 +259,6 @@ class TestHeatProblem:
         )
         assert problem.u0_coeffs[1] == pytest.approx(-9 - 4 / PI**2, abs=1e-9)
         assert 2 not in problem.u0_coeffs  # quadrature zeros are dropped
-
-
-class TestExponentialModel:
-    def test_evaluation(self):
-        m = ExponentialModel(((2.0, 0.0), (3.0, 1.5)))
-        t = np.array([0.0, 1.0])
-        np.testing.assert_allclose(m(t), 2.0 + 3.0 * np.exp(-1.5 * t))
-        assert m(0.0) == 5.0
-
-    def test_requires_increasing_distinct_rates(self):
-        with pytest.raises(ValueError):
-            ExponentialModel(((1.0, 1.0), (1.0, 1.0)))
-        with pytest.raises(ValueError):
-            ExponentialModel(((1.0, 2.0), (1.0, 1.0)))
-        with pytest.raises(ValueError):
-            ExponentialModel(((1.0, -0.5),))
 
 
 class TestFileFormats:

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from heatpencil.model import SampleTrace
+from heatpencil import reference
+from heatpencil.model import SampleTrace, sample
 from heatpencil.pencil import (
     DegenerateRatesError,
     PencilConfig,
     PencilError,
     RankDeficiencyError,
+    TruncatedPencil,
     analyze,
     build_hankel,
+    certificate_diagnostics,
     detect_order,
     estimate_poles,
     fit_amplitudes,
     poles_to_rates,
-    rescale_amplitudes,
     resolve_pencil_parameter,
 )
 
@@ -24,6 +26,10 @@ def exp_trace(amps, poles, n, period=1.0, t_start=0.0):
     k = np.arange(n)
     values = sum(a * z**k for a, z in zip(amps, poles))
     return SampleTrace(t_start=t_start, period=period, values=np.asarray(values, float))
+
+
+def svdvals(matrix):
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 class TestPencilParameter:
@@ -74,36 +80,36 @@ class TestDetectOrder:
     def test_exact_rank_two(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 12)
         h = build_hankel(trace)
-        assert detect_order(h.y, 1e-10) == 2
+        assert detect_order(svdvals(h.y), 1e-10) == 2
 
     def test_zero_matrix_reports_no_signal(self):
-        assert detect_order(np.zeros((5, 4)), 1e-10) == 0
+        assert detect_order(svdvals(np.zeros((5, 4))), 1e-10) == 0
 
     def test_threshold_tie_is_kept(self):
         matrix = np.diag([1.0, 1e-10, 1e-12])
-        assert detect_order(matrix, 1e-10) == 2
+        assert detect_order(svdvals(matrix), 1e-10) == 2
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         trace = exp_trace([1.0, -2.0, 0.5], [0.9, 0.6, 0.3], 24)
         h = build_hankel(trace)
-        orders = [detect_order(h.y, eps) for eps in (1e-14, 1e-10, 1e-6, 1e-2)]
+        orders = [detect_order(svdvals(h.y), eps) for eps in (1e-14, 1e-10, 1e-6, 1e-2)]
         assert orders == sorted(orders, reverse=True)
 
     def test_max_order_cap(self):
         trace = exp_trace([1.0, -2.0, 0.5], [0.9, 0.6, 0.3], 24)
         h = build_hankel(trace)
-        assert detect_order(h.y, 1e-12, max_order=2) == 2
+        assert detect_order(svdvals(h.y), 1e-12, max_order=2) == 2
 
 
 class TestEstimatePoles:
     def test_two_exponentials_recovered_exactly(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 12)
         h = build_hankel(trace)
-        poles, diag = estimate_poles(h, 2)
+        poles, truncated = estimate_poles(h, 2)
         np.testing.assert_allclose(poles.real, [0.5, 0.25], atol=1e-10)
         assert np.all(np.abs(poles.imag) < 1e-12)
-        assert diag.sigma_m > 0
+        assert truncated.sv[-1] > 0
         # reconstruction closes the loop
         k = np.arange(12)
         rebuilt = 3.0 * poles.real[0] ** k + 2.0 * poles.real[1] ** k
@@ -178,12 +184,6 @@ class TestFitAmplitudes:
         with pytest.raises(ValueError):
             fit_amplitudes(trace, np.array([0.1, 0.2, 0.3, 0.4]))
 
-    def test_rescale_to_absolute_time(self):
-        amps = np.array([2.0])
-        rates = np.array([3.0])
-        scaled = rescale_amplitudes(amps, rates, 0.5)
-        assert scaled[0] == pytest.approx(2.0 * math.exp(1.5), rel=1e-15)
-
 
 class TestAnalyze:
     def test_noiseless_two_term_signal(self):
@@ -220,7 +220,9 @@ class TestAnalyze:
         assert a.poles.tobytes() == b.poles.tobytes()
         assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
         assert a.singular_values.tobytes() == b.singular_values.tobytes()
-        assert a.sigma_m == b.sigma_m and a.kappa_xm == b.kappa_xm
+        assert certificate_diagnostics(a.truncated_pencil) == certificate_diagnostics(
+            b.truncated_pencil
+        )
 
     def test_oscillatory_pair_discarded_with_warning(self):
         k = np.arange(30)
@@ -235,15 +237,14 @@ class TestAnalyze:
             est = analyze(SampleTrace(0.0, 1.0, values))
         assert est.order == 0
 
-    def test_diagnostics_serialize(self):
-        est = analyze(exp_trace([2.0, 1.0], [0.6, 0.3], 21))
-        payload = est.to_dict()
-        for key in (
-            "order", "poles", "rates", "amplitudes", "sigma", "sigma_M",
-            "y1_norm_2", "y0_trunc_gap_2", "kappa_xm",
-        ):
-            assert key in payload
-        assert payload["order"] == 2
+    def test_order_beyond_y0_columns_is_rank_deficiency(self):
+        # noise at 1e-8 lifts all 18 singular values of Y (L + 1 columns)
+        # above the threshold, one more than Y0's L = 17 columns can carry
+        trace = sample(reference.reference_problem(), 0.3, 0.01, 50)
+        noise = 1e-8 * np.random.default_rng(0).standard_normal(50)
+        noisy = SampleTrace(trace.t_start, trace.period, trace.values + noise)
+        with pytest.raises(RankDeficiencyError, match="order 18 .* 17 columns"):
+            analyze(noisy)
 
     def test_reconstruct(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
@@ -251,6 +252,38 @@ class TestAnalyze:
         np.testing.assert_allclose(
             est.reconstruct(np.arange(21)), trace.values, rtol=1e-10
         )
+
+
+class TestCertificateDiagnostics:
+    def test_spectral_quantities_of_the_pole_solve(self):
+        trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
+        est = analyze(trace)
+        h = build_hankel(trace)
+        diag = certificate_diagnostics(est.truncated_pencil)
+        sigma_y0 = svdvals(h.y0)
+        assert diag.sigma_m == pytest.approx(sigma_y0[1], rel=1e-14)
+        assert diag.y1_norm_2 == pytest.approx(svdvals(h.y1)[0], rel=1e-14)
+        # the explicit subtraction equals sigma_{M+1} up to rounding
+        assert diag.y0_trunc_gap_2 == pytest.approx(sigma_y0[2], abs=1e-13)
+        assert 1.0 <= diag.kappa_xm < math.inf
+
+    def test_detected_order_kept_after_discards(self):
+        # the constant-plus-oscillation signal keeps one of three poles; the
+        # diagnostics stay at the detected order 3
+        k = np.arange(30)
+        values = 1.0 + 0.9**k * np.cos(1.1 * k)
+        with pytest.warns(UserWarning, match="complex"):
+            est = analyze(SampleTrace(0.0, 1.0, values))
+        assert est.order == 1
+        assert est.truncated_pencil.sv.size == 3
+
+    def test_defective_eigenbasis_gives_infinite_kappa(self):
+        # a Jordan block has one eigenvector: the eigenvector matrix is singular
+        eye = np.eye(2)
+        jordan = TruncatedPencil(
+            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye
+        )
+        assert certificate_diagnostics(jordan).kappa_xm == math.inf
 
 
 class TestShiftPencilIdentity:

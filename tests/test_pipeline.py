@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from heatpencil import reference
 from heatpencil.model import HeatProblem, SampleTrace, sample
 from heatpencil.pipeline import (
     AlphaUnrecoverableError,
@@ -16,7 +18,6 @@ from heatpencil.pipeline import (
     free_window_spectrum,
     gcv_select,
     identify,
-    numerical_rank,
     transform_step_window,
     tsvd_solve,
 )
@@ -204,7 +205,7 @@ class TestTsvdSolve:
         rng = np.random.default_rng(3)
         matrix = rng.standard_normal((12, 5))
         b = rng.standard_normal(12)
-        solution = tsvd_solve(matrix, b, numerical_rank(matrix))
+        solution = tsvd_solve(matrix, b, np.linalg.matrix_rank(matrix))
         np.testing.assert_allclose(solution, np.linalg.pinv(matrix) @ b, atol=1e-10)
 
     def test_truncation_zeroes_small_direction(self):
@@ -237,22 +238,22 @@ class TestGcvSelect:
         u, s, vt = np.linalg.svd(matrix, full_matrices=False)
         noise = rng.standard_normal(10)
         noise -= u @ (u.T @ noise)
-        k, curve = gcv_select(matrix, u[:, 0] + 0.05 * noise)
+        k, curve, _ = gcv_select(matrix, u[:, 0] + 0.05 * noise)
         assert k == 1
 
     def test_consistent_system_selects_full_rank(self):
         rng = np.random.default_rng(6)
         matrix = rng.standard_normal((10, 4))
         b = matrix @ rng.standard_normal(4)
-        k, curve = gcv_select(matrix, b)
-        assert k == numerical_rank(matrix) == 4
+        k, curve, _ = gcv_select(matrix, b)
+        assert k == np.linalg.matrix_rank(matrix) == 4
         assert curve.size == 4
 
     def test_residual_nonincreasing_in_rank(self):
         rng = np.random.default_rng(7)
         matrix = rng.standard_normal((15, 6))
         b = rng.standard_normal(15)
-        rank = numerical_rank(matrix)
+        rank = np.linalg.matrix_rank(matrix)
         residuals = [
             float(np.sum((matrix @ tsvd_solve(matrix, b, k) - b) ** 2))
             for k in range(1, rank + 1)
@@ -261,9 +262,64 @@ class TestGcvSelect:
 
     def test_tie_breaks_toward_smaller_rank(self):
         matrix = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((2, 3))])
-        k, curve = gcv_select(matrix, np.zeros(5))
+        k, curve, _ = gcv_select(matrix, np.zeros(5))
         assert k == 1
         np.testing.assert_array_equal(curve, np.zeros(3))
+
+    def test_solution_is_the_tsvd_solution(self):
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((15, 6))
+        b = rng.standard_normal(15)
+        k, _, solution = gcv_select(matrix, b)
+        assert solution.tobytes() == tsvd_solve(matrix, b, k).tobytes()
+
+
+class TestFactorizationCounts:
+    """LAPACK entry points one ``identify`` calls on the reference traces."""
+
+    KINDS = ("svd", "eig", "eigvals", "lstsq")
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        # numpy.linalg.norm reaches svd through its own module's global, so
+        # both the public namespace and the implementation module are wrapped
+        calls = dict.fromkeys(self.KINDS, 0)
+        impl = importlib.import_module("numpy.linalg._linalg")
+        for kind in self.KINDS:
+            original = getattr(np.linalg, kind)
+
+            def counted(*args, _kind=kind, _original=original, **kwargs):
+                calls[_kind] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, kind, counted)
+            monkeypatch.setattr(impl, kind, counted)
+        return calls
+
+    @staticmethod
+    def _reference_traces():
+        problem = reference.reference_problem()
+        cfg = reference.reference_config()
+        return (
+            sample(problem, problem.t1, (problem.t2 - problem.t1) / cfg.n1, cfg.n1),
+            sample(problem, problem.t2, (problem.t3 - problem.t2) / cfg.n2, cfg.n2),
+            sample(problem, cfg.t0, (problem.t2 - cfg.t0) / cfg.n_rec, cfg.n_rec),
+        ), cfg
+
+    def test_with_priors(self, counts):
+        traces, cfg = self._reference_traces()
+        result = identify(*traces, cfg, reference.REFERENCE_PRIORS)
+        assert result.certificate is not None
+        assert counts["svd"] <= 10
+        assert counts["eig"] == 1
+        assert counts["eigvals"] <= 3
+        assert counts["lstsq"] <= 5
+
+    def test_without_priors(self, counts):
+        traces, cfg = self._reference_traces()
+        identify(*traces, cfg)
+        assert counts["svd"] <= 7
+        assert counts["eig"] == 0
 
 
 class TestIdentify:
