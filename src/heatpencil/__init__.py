@@ -30,6 +30,8 @@ from .model import (
     HeatProblem,
     QuadratureError,
     SampleTrace,
+    TraceError,
+    control_bracket,
     cosine_coefficients,
     eigenvalue,
     evaluate_cosine_series,
@@ -39,6 +41,7 @@ from .model import (
     problem_from_function,
     read_trace_csv,
     sample,
+    sample_windows,
     save_problem,
     step_response,
     write_trace_csv,

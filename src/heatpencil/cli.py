@@ -213,14 +213,8 @@ def _cmd_simulate(args) -> int:
     cfg = pipeline.PipelineConfig(
         n1=args.n1, n2=args.n2, t0=args.t0, n_rec=args.n_rec
     )
-    period_free = (problem.t2 - problem.t1) / cfg.n1
-    period_step = (problem.t3 - problem.t2) / cfg.n2
-    period_rec = (problem.t2 - cfg.t0) / cfg.n_rec
-    traces = {
-        "free.csv": model.sample(problem, problem.t1, period_free, cfg.n1),
-        "step.csv": model.sample(problem, problem.t2, period_step, cfg.n2),
-        "rec.csv": model.sample(problem, cfg.t0, period_rec, cfg.n_rec),
-    }
+    windows = model.sample_windows(problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec)
+    traces = dict(zip(("free.csv", "step.csv", "rec.csv"), windows))
     for name, trace in traces.items():
         model.write_trace_csv(out_dir / name, trace)
     _write_manifest(
@@ -281,15 +275,18 @@ def _bound_inputs_from_payload(data: dict, priors: tuple[float, float]) -> tuple
     if not cert:
         raise InputError("input must be an identification result with a certificate block")
     m0, alpha0 = priors
-    inputs = bounds.BoundInputs(
-        m0=m0, alpha0=alpha0,
-        m=int(cert["M"]), n=int(cert["N"]), l=int(cert["L"]),
-        t1=float(cert["T1"]), ts=float(cert["Ts"]),
-        sigma_m=float(cert["sigma_M"]),
-        y1_norm=float(cert["Y1_norm_2"]),
-        y0_trunc_gap=float(cert["Y0M_gap_2"]),
-        kappa_xm=float(cert["kappa_XM"]),
-    )
+    try:
+        inputs = bounds.BoundInputs(
+            m0=m0, alpha0=alpha0,
+            m=int(cert["M"]), n=int(cert["N"]), l=int(cert["L"]),
+            t1=float(cert["T1"]), ts=float(cert["Ts"]),
+            sigma_m=float(cert["sigma_M"]),
+            y1_norm=float(cert["Y1_norm_2"]),
+            y0_trunc_gap=float(cert["Y0M_gap_2"]),
+            kappa_xm=float(cert["kappa_XM"]),
+        )
+    except KeyError as exc:
+        raise InputError(f"certificate block is missing field {exc}") from None
     return inputs, cert.get("z_tilde"), cert.get("mode_index"), data.get("alpha_hat")
 
 
@@ -340,10 +337,9 @@ def _cmd_repro_paper(args) -> int:
     cfg = reference.reference_config()
     model.save_problem(out_dir / "problem.json", problem)
 
-    period = (problem.t2 - problem.t1) / cfg.n1
-    trace_free = model.sample(problem, problem.t1, period, cfg.n1)
-    trace_step = model.sample(problem, problem.t2, (problem.t3 - problem.t2) / cfg.n2, cfg.n2)
-    trace_rec = model.sample(problem, cfg.t0, (problem.t2 - cfg.t0) / cfg.n_rec, cfg.n_rec)
+    trace_free, trace_step, trace_rec = model.sample_windows(
+        problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec
+    )
     for name, trace in (
         ("free.csv", trace_free), ("step.csv", trace_step), ("rec.csv", trace_rec)
     ):

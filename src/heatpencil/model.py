@@ -29,11 +29,23 @@ PI_SQ = math.pi**2
 _TAIL_RELATIVE_CUTOFF = 1e-16
 _TAIL_MAX_TERMS = 10**6
 
-_QUAD_MAX_PANELS = 2**20
+# Series temporaries hold at most _BLOCK doubles (1 MB); the tail is summed in
+# chunks of _TAIL_FIRST_CHUNK terms, doubling up to _BLOCK.  exp rounds
+# exponents below _EXP_ZERO to 0.0.
+_BLOCK = 2**17
+_TAIL_FIRST_CHUNK = 16
+_EXP_ZERO = -746.0
+
+_QUAD_NODES = 16  # Gauss-Legendre nodes per panel
+_QUAD_MAX_PANELS = 2**14
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
+
+
+class TraceError(ValueError):
+    """A trace is malformed: non-finite values, too few rows, uneven times."""
 
 
 def eigenvalue(alpha: float, n: int) -> float:
@@ -117,6 +129,9 @@ class SampleTrace:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("trace values must be a nonempty 1-D array")
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise TraceError(f"trace value at index {bad} is {values[bad]}, not finite")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -138,58 +153,41 @@ def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:
     return total if total.ndim else float(total)
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float, budget: list[int]
-) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, s, tol):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if budget[0] <= 0:
-            raise QuadratureError(
-                f"quadrature did not converge within {_QUAD_MAX_PANELS} panels"
-            )
-        budget[0] -= 2
-        if abs(left + right - s) <= 15.0 * tol:
-            return left + right + (left + right - s) / 15.0
-        return recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol) + recurse(
-            m, fm, rm, frm, b, fb, right, 0.5 * tol
-        )
-
-    return recurse(a, fa, 0.5 * (a + b), fm, b, fb, whole, tol)
-
-
 def cosine_coefficients(
     u0: Callable[[float], float], n_max: int, tol: float = 1e-10
 ) -> dict[int, float]:
     """Cosine expansion coefficients of a user-supplied profile on [0, 1].
 
     Entry 0 is the plain integral of ``u0``; entry n >= 1 is twice the
-    integral of ``u0(x) * cos(n*pi*x)``.  Each coefficient is computed by
-    adaptive composite Simpson quadrature to absolute error ``tol``.
+    integral of ``u0(x) * cos(n*pi*x)``.  One composite Gauss-Legendre rule
+    serves every coefficient: ``u0`` is evaluated once per node (on the node
+    array when it accepts one) and enters one cosine-matrix product.  The
+    panel count doubles from one until two successive estimates agree within
+    ``tol`` for every coefficient, and the finer one is returned.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    out: dict[int, float] = {}
-    for n in range(n_max + 1):
-        if n == 0:
-            integrand = u0
-        else:
-            integrand = lambda x, n=n: u0(x) * math.cos(n * math.pi * x)
-        # Pre-split so the oscillation of cos(n*pi*x) cannot fool the
-        # convergence estimate on a symmetric first pass.
-        panels = max(8, 2 * n)
-        budget = [_QUAD_MAX_PANELS]
-        total = 0.0
-        for j in range(panels):
-            a, b = j / panels, (j + 1) / panels
-            total += _adaptive_simpson(integrand, a, b, tol / panels, budget)
-        out[n] = total if n == 0 else 2.0 * total
-    return out
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    freqs = math.pi * np.arange(n_max + 1)
+    previous, panels = None, 1
+    while panels <= _QUAD_MAX_PANELS:
+        x = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
+        try:
+            fx = np.asarray(u0(x), dtype=float)
+        except (TypeError, ValueError):
+            fx = None
+        if fx is None or fx.shape != x.shape:  # a callable for scalars only
+            fx = np.array([float(u0(float(xi))) for xi in x])
+        weighted = np.tile(weights, panels) / (2 * panels) * fx
+        estimate = np.zeros(freqs.size)
+        step = _BLOCK // freqs.size + 1
+        for s in range(0, x.size, step):
+            estimate += np.cos(np.outer(freqs, x[s:s + step])) @ weighted[s:s + step]
+        estimate[1:] *= 2.0
+        if previous is not None and np.all(np.abs(estimate - previous) <= tol):
+            return {n: float(c) for n, c in enumerate(estimate)}
+        previous, panels = estimate, 2 * panels
+    raise QuadratureError(f"quadrature did not converge within {_QUAD_MAX_PANELS} panels")
 
 
 def problem_from_function(
@@ -212,62 +210,109 @@ def problem_from_function(
     return HeatProblem(alpha, coeffs, t1, t2, t3, control_amplitude)
 
 
+def _exp_row_sums(
+    t: np.ndarray, rates: np.ndarray, weights: np.ndarray, keep: np.ndarray | None = None
+) -> np.ndarray:
+    # Row i is sum_j weights[j] * exp(-rates[j] * t[i]), terms j >= keep[i]
+    # being exact zeros.  Each row is reduced on its own ((E * w).sum(axis=1),
+    # not a BLAS product), so its sum does not depend on the other rows: a
+    # sampled window and a single observation agree bit for bit.  Exponents
+    # below _EXP_ZERO are skipped, as exp's underflow path is slow.
+    out = np.empty(t.size)
+    step = _BLOCK // (rates.size + 1) + 1
+    for s in range(0, t.size, step):
+        exponent = -np.outer(t[s:s + step], rates)
+        live = exponent > _EXP_ZERO
+        if keep is not None:
+            live &= np.arange(rates.size) < keep[s:s + step, None]
+        terms = np.exp(exponent, out=np.zeros_like(exponent), where=live)
+        out[s:s + step] = (weights * terms).sum(axis=1)
+    return out
+
+
+def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
+    """Flux-step bracket ``-1/(3 alpha) - dt + sum_{n>=1} (2/lambda_n) exp(-lambda_n dt)``.
+
+    Vectorized over the times since the step, ``dt >= 0``.  Each sample's
+    series has its own term count: ``n_terms`` if given, else the a-priori
+    count past which terms are below ``_TAIL_RELATIVE_CUTOFF`` times the first
+    (at most ``_TAIL_MAX_TERMS``), with the closed form ``1/(3 alpha)`` at
+    ``dt == 0``.  Chunked summation keeps temporaries near 1 MB.
+    """
+    if alpha <= 0:
+        raise ValueError(f"diffusivity must be positive, got {alpha}")
+    dt = np.asarray(dt, dtype=float)
+    flat = dt.ravel()
+    if np.any(flat < 0):
+        raise ValueError("time since the flux step must be nonnegative")
+    if n_terms is not None and n_terms < 1:
+        raise ValueError(f"n_terms must be positive when set, got {n_terms}")
+    if n_terms is None:
+        cap = _TAIL_MAX_TERMS
+        # the smallest n with exp(-alpha pi^2 (n^2 - 1) dt) <= cutoff; none at dt = 0
+        with np.errstate(divide="ignore"):
+            need = np.sqrt(1.0 - math.log(_TAIL_RELATIVE_CUTOFF) / (alpha * PI_SQ * flat))
+        counts = np.where(flat > 0, np.minimum(np.ceil(need), cap), 0).astype(int)
+    else:
+        cap = int(n_terms)
+        counts = np.full(flat.size, cap)
+    tail = np.where(counts > 0, 0.0, 1.0 / (3.0 * alpha))
+    lo, width = 0, min(_TAIL_FIRST_CHUNK, cap)
+    while True:
+        rows = np.flatnonzero(counts > lo)
+        if rows.size == 0:
+            break
+        n = np.arange(lo + 1, lo + width + 1, dtype=float)
+        lam = alpha * (n * n) * PI_SQ
+        tail[rows] += _exp_row_sums(flat[rows], lam, 2.0 / lam, counts[rows] - lo)
+        lo += width
+        width = min(2 * width, _BLOCK, cap - lo)
+    return (-1.0 / (3.0 * alpha) - flat + tail).reshape(dt.shape)
+
+
+def _free_part(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
+    modes = np.fromiter(problem.u0_coeffs, dtype=float)
+    coeffs = np.fromiter(problem.u0_coeffs.values(), dtype=float)
+    return _exp_row_sums(t, problem.alpha * (modes * modes) * PI_SQ, coeffs)
+
+
+def _observation(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
+    # the free series, plus the flux-step bracket from t2 on
+    values = _free_part(problem, t)
+    after = t >= problem.t2
+    if after.any():
+        values[after] += problem.control_amplitude * control_bracket(
+            problem.alpha, t[after] - problem.t2, problem.control_series_terms
+        )
+    return values
+
+
 def free_response(problem: HeatProblem, t: float) -> float:
     """Boundary temperature at time ``t`` with the flux still off."""
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    # np.exp throughout the synthesis path: the spectral diagnostics consumed
-    # by the error certificate are sensitive at the last-ulp level.
-    total = 0.0
-    for n, c in problem.u0_coeffs.items():
-        total += c * np.exp(-eigenvalue(problem.alpha, n) * t)
-    return float(total)
-
-
-def _control_tail(alpha: float, dt: float, n_terms: int | None) -> float:
-    # sum_{n>=1} (2 / lambda_n) exp(-lambda_n dt); equals 1/(3 alpha) at dt=0.
-    if n_terms is not None:
-        total = 0.0
-        for n in range(1, n_terms + 1):
-            lam = alpha * (n * n) * PI_SQ
-            total += 2.0 / lam * np.exp(-lam * dt)
-        return float(total)
-    if dt == 0.0:
-        return 1.0 / (3.0 * alpha)
-    total = 0.0
-    for n in range(1, _TAIL_MAX_TERMS + 1):
-        lam = alpha * (n * n) * PI_SQ
-        term = 2.0 / lam * np.exp(-lam * dt)
-        total += term
-        if term <= _TAIL_RELATIVE_CUTOFF * total:
-            break
-    return float(total)
+    return float(_free_part(problem, np.array([t], dtype=float))[0])
 
 
 def step_response(problem: HeatProblem, t: float) -> float:
     """Boundary temperature at time ``t >= t2`` under the flux step.
 
     The flux contribution is ``control_amplitude`` times
-    ``-1/(3 alpha) - (t - t2) + sum_{n>=1} (2/lambda_n) exp(-lambda_n (t-t2))``;
-    the bracket vanishes identically at ``t = t2``.
+    ``control_bracket(alpha, t - t2, control_series_terms)``; the bracket
+    vanishes identically at ``t = t2``.
     """
     if t < problem.t2:
         raise ValueError(
             f"step response is defined for t >= t2 = {problem.t2}, got t = {t}"
         )
-    dt = t - problem.t2
-    alpha = problem.alpha
-    bracket = -1.0 / (3.0 * alpha) - dt + _control_tail(
-        alpha, dt, problem.control_series_terms
-    )
-    return free_response(problem, t) + problem.control_amplitude * bracket
+    return observe(problem, t)
 
 
 def observe(problem: HeatProblem, t: float) -> float:
     """Boundary temperature under the full flux schedule (zero before t2)."""
-    if t < problem.t2:
-        return free_response(problem, t)
-    return step_response(problem, t)
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    return float(_observation(problem, np.array([t], dtype=float))[0])
 
 
 def sample(problem: HeatProblem, t_start: float, period: float, count: int) -> SampleTrace:
@@ -278,8 +323,18 @@ def sample(problem: HeatProblem, t_start: float, period: float, count: int) -> S
         raise ValueError(f"period must be positive, got {period}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    values = np.array([observe(problem, t_start + i * period) for i in range(count)])
+    values = _observation(problem, t_start + period * np.arange(count))
     return SampleTrace(t_start=t_start, period=period, values=values)
+
+
+def sample_windows(problem: HeatProblem, n1: int, n2: int, t0: float, n_rec: int):
+    """The flux-free, flux-step and reconstruction windows: ``n1`` samples on
+    [t1, t2), ``n2`` on [t2, t3) and ``n_rec`` on [t0, t2)."""
+    return (
+        sample(problem, problem.t1, (problem.t2 - problem.t1) / n1, n1),
+        sample(problem, problem.t2, (problem.t3 - problem.t2) / n2, n2),
+        sample(problem, t0, (problem.t2 - t0) / n_rec, n_rec),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +395,25 @@ def write_trace_csv(path: str | Path, trace: SampleTrace) -> None:
 
 
 def read_trace_csv(path: str | Path) -> SampleTrace:
+    """Read a ``t,y`` trace.  ``TraceError`` names the line of a row that is
+    not two finite numbers; fewer than two rows or uneven times are refused."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "y"]:
-            raise ValueError(f"{path}: expected CSV header 't,y'")
-        times, values = [], []
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-    if len(values) < 1:
-        raise ValueError(f"{path}: trace is empty")
-    t = np.asarray(times)
-    if len(t) > 1:
-        periods = np.diff(t)
-        period = periods[0]
-        if np.any(np.abs(periods - period) > 1e-9 * max(1.0, abs(period))):
-            raise ValueError(f"{path}: sample times are not uniformly spaced")
-    else:
-        period = 1.0
-    return SampleTrace(t_start=float(t[0]), period=float(period), values=np.asarray(values))
+        if [h.strip() for h in next(reader, [])] != ["t", "y"]:
+            raise TraceError(f"{path}: expected CSV header 't,y'")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                t, y = map(float, row)
+            except ValueError:
+                t = y = math.nan
+            if not (math.isfinite(t) and math.isfinite(y)):
+                raise TraceError(f"{path}, line {reader.line_num}: {row} is not two finite numbers")
+            rows.append((t, y))
+    if len(rows) < 2:
+        raise TraceError(f"{path}: {len(rows)} row(s); a trace needs two to fix its period")
+    times, values = np.array(rows).T
+    periods = np.diff(times)
+    if np.any(np.abs(periods - periods[0]) > 1e-9 * max(1.0, abs(periods[0]))):
+        raise TraceError(f"{path}: sample times are not uniformly spaced")
+    return SampleTrace(t_start=float(times[0]), period=float(periods[0]), values=values)

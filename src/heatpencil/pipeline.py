@@ -109,9 +109,16 @@ def free_window_spectrum(
     design = np.exp(-np.outer(trace.times, rates))
     coeffs, _, rank, _ = np.linalg.lstsq(design, trace.values, rcond=None)
     if rank < rates.size:
-        raise pencil.DegenerateRatesError(
-            "absolute-time refit is rank deficient; rates are too close"
+        # A fast mode seen on the window's own clock may have decayed below
+        # rounding by t1 (lstsq cuts at eps * max(shape) * sigma_max, and
+        # sigma_max is at least the largest column norm).
+        norms = np.sqrt((design * design).sum(axis=0))
+        faded = rates[norms <= np.finfo(float).eps * max(design.shape) * norms.max()]
+        cause = (
+            f"the mode(s) with rate {', '.join(f'{r:.6g}' for r in faded)} decayed "
+            f"below rounding by t = {trace.t_start:g}" if faded.size else "rates are too close"
         )
+        raise pencil.DegenerateRatesError(f"absolute-time refit is rank deficient: {cause}")
     return FreeSpectrum(rates=rates, coefficients=coeffs, estimate=est)
 
 

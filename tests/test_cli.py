@@ -132,6 +132,22 @@ class TestIdentify:
         assert err.startswith("error (DegenerateRatesError): ")
         assert err.count("\n") == 1
 
+    def test_non_finite_sample_names_the_line(self, workspace, capsys):
+        traces_dir = run_simulate(workspace)
+        lines = (traces_dir / "free.csv").read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",nan"
+        (traces_dir / "free.csv").write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "free.csv, line 6: " in err and "not two finite numbers" in err
+
     def test_byte_identical_result(self, workspace):
         traces_dir = run_simulate(workspace)
         out = workspace / "result.json"
@@ -196,6 +212,18 @@ class TestBounds:
         )
         assert rc == 2
         assert "certificate block" in capsys.readouterr().err
+
+    def test_incomplete_certificate_names_missing_field(self, workspace, capsys):
+        path = workspace / "partial.json"
+        path.write_text(json.dumps({"certificate": {"N": 50}}))
+        rc = main(
+            ["bounds", str(path), str(workspace / "priors.json"),
+             "--out", str(workspace / "cert.json")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "missing field 'M'" in err
 
     def test_unavailable_when_rho_too_large(self, workspace, capsys):
         result = self._result_path(workspace)

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatpencil import model
+from heatpencil import model, reference
 from heatpencil.model import (
     HeatProblem,
     QuadratureError,
     SampleTrace,
+    TraceError,
+    control_bracket,
     cosine_coefficients,
     eigenvalue,
     evaluate_cosine_series,
@@ -17,6 +20,7 @@ from heatpencil.model import (
     problem_from_function,
     read_trace_csv,
     sample,
+    sample_windows,
     step_response,
     write_trace_csv,
 )
@@ -80,8 +84,41 @@ class TestCosineCoefficients:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(model, "_QUAD_MAX_PANELS", 8)
-        with pytest.raises(QuadratureError):
-            cosine_coefficients(lambda x: math.sin(40.0 / (x + 0.01)), n_max=0)
+        nodes = []
+
+        def u0(x):
+            value = math.sin(40.0 / (x + 0.01))  # scalars only
+            nodes.append(x)
+            return value
+
+        with pytest.raises(QuadratureError, match="8 panels"):
+            cosine_coefficients(u0, n_max=0)
+        # every panel count up to the cap (1, 2, 4, 8) was tried, none past it
+        assert len(nodes) == 15 * model._QUAD_NODES
+
+    def test_reference_profile_to_mode_41(self):
+        coeffs = cosine_coefficients(reference.reference_u0, n_max=41)
+        exact = reference.reference_u0_coefficients(41)
+        assert sorted(coeffs) == list(range(42))
+        for n, c in coeffs.items():
+            assert abs(c - exact.get(n, 0.0)) <= 1e-12
+
+    def test_profile_evaluated_once_per_node(self):
+        evaluations = 0
+
+        def u0(x):
+            nonlocal evaluations
+            evaluations += np.size(x)
+            return reference.reference_u0(x)
+
+        cosine_coefficients(u0, n_max=41)
+        assert evaluations <= 5000
+
+    def test_scalar_only_callable_matches_array_callable(self):
+        scalar = cosine_coefficients(lambda x: math.exp(x) * math.cos(2 * x), n_max=12)
+        array = cosine_coefficients(lambda x: np.exp(x) * np.cos(2 * x), n_max=12)
+        for n in range(13):
+            assert scalar[n] == pytest.approx(array[n], abs=1e-14)
 
 
 class TestFreeResponse:
@@ -223,6 +260,103 @@ class TestSample:
             sample(problem, 0.3, 0.01, 0)
 
 
+def random_problem(rng, terms):
+    modes = rng.choice(40, size=int(rng.integers(1, 12)), replace=False)
+    coeffs = {int(n): float(rng.uniform(-10, 10)) for n in modes}
+    return HeatProblem(
+        float(rng.uniform(0.5, 8.0)), coeffs, 0.3, 0.8, 1.3,
+        control_amplitude=float(rng.uniform(0.5, 2.0)),
+        control_series_terms=terms,
+    )
+
+
+def control_bracket_oracle(alpha, dt, n_terms):
+    # the series term by term, summed exactly; without n_terms it runs until
+    # the terms are far below the rounding of the sum
+    if n_terms is None and dt == 0.0:
+        return 0.0
+    terms = []
+    for n in range(1, (n_terms or 10**7) + 1):
+        lam = alpha * n * n * PI**2
+        terms.append(2.0 / lam * math.exp(-lam * dt))
+        if n_terms is None and terms[-1] < 1e-20 * terms[0]:
+            break
+    return -1.0 / (3.0 * alpha) - dt + math.fsum(terms)
+
+
+class TestSeriesLayer:
+    @pytest.mark.parametrize("terms", [200, None])
+    def test_sample_is_pointwise_observe_bit_for_bit(self, terms):
+        rng = np.random.default_rng(20 if terms else 21)
+        for _ in range(25):
+            problem = random_problem(rng, terms)
+            # windows of 60 samples that span the switch at t2
+            t_start = float(rng.uniform(0.05, 0.79))
+            period = float(rng.uniform(0.8 - t_start, 1.3 - t_start)) / 60
+            trace = sample(problem, t_start, period, 60)
+            assert trace.times[-1] > problem.t2
+            for t, y in zip(trace.times, trace.values):
+                assert y == observe(problem, t)
+
+    def test_bracket_vector_is_its_scalar_calls(self):
+        dt = np.concatenate([[0.0, 1e-12, 1e-9], np.linspace(0.0, 0.5, 37)])
+        for terms in (200, None):
+            whole = control_bracket(4.0, dt, terms)
+            for d, b in zip(dt, whole):
+                assert b == control_bracket(4.0, [d], terms)[0]
+
+    @pytest.mark.parametrize("terms", [200, None])
+    def test_bracket_against_exact_sum(self, terms):
+        # the array sum rounds differently from an exact sum; two ulps of the
+        # bracket's scale is the tolerance
+        for alpha in (0.7, 4.0, 9.0):
+            for dt in (0.0, 1e-6, 1e-4, 0.003, 0.01, 0.05, 0.3, 2.0):
+                expected = control_bracket_oracle(alpha, dt, terms)
+                scale = 1.0 / (3.0 * alpha) + dt
+                got = control_bracket(alpha, dt, terms)
+                assert abs(got - expected) <= 2 * np.finfo(float).eps * scale
+
+    def test_bracket_near_the_step(self):
+        alpha = 4.0
+        assert control_bracket(alpha, 0.0) == 0.0
+        values = control_bracket(alpha, [1e-5, 1e-7, 1e-9])
+        assert np.all(np.isfinite(values))
+        # the tail tends to its closed form 1/(3 alpha): the bracket goes to 0
+        # like the half-space response -2 sqrt(dt / (pi alpha))
+        assert np.all(np.diff(values) > 0) and values[-1] < 0
+        expected = -2.0 * np.sqrt(np.array([1e-5, 1e-7, 1e-9]) / (math.pi * alpha))
+        np.testing.assert_allclose(values, expected, rtol=2e-3)
+
+    def test_tail_memory_is_bounded_near_the_step(self):
+        # 16 samples that each need the full 10**6-term tail: 128 MB if the
+        # terms were materialized at once
+        dt = np.full(16, 1e-13)
+        tracemalloc.start()
+        try:
+            values = control_bracket(4.0, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values))
+        assert peak < 8 * 2**20
+
+    def test_bracket_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            control_bracket(4.0, [0.1, -1e-9])
+        with pytest.raises(ValueError):
+            control_bracket(4.0, [0.1], n_terms=0)
+        with pytest.raises(ValueError):
+            control_bracket(0.0, [0.1])
+
+    def test_sample_windows_periods(self):
+        problem = make_problem()
+        free, step, rec = sample_windows(problem, 50, 40, 0.01, 79)
+        assert (free.t_start, free.period, len(free)) == (0.3, (0.8 - 0.3) / 50, 50)
+        assert (step.t_start, step.period, len(step)) == (0.8, (1.3 - 0.8) / 40, 40)
+        assert (rec.t_start, rec.period, len(rec)) == (0.01, (0.8 - 0.01) / 79, 79)
+        np.testing.assert_array_equal(step.values, sample(problem, 0.8, 0.5 / 40, 40).values)
+
+
 class TestParseval:
     def test_norm_matches_quadrature(self):
         problem = make_problem(coeffs={0: 0.3, 1: -1.25, 2: 0.7, 5: 0.11})
@@ -284,6 +418,24 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="uniform"):
             read_trace_csv(path)
 
+    def test_csv_non_finite_row_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.1,1\n0.2,nan\n0.3,1\n")
+        with pytest.raises(TraceError, match="line 3"):
+            read_trace_csv(path)
+
+    def test_csv_malformed_row_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.1,1\n0.2\n")
+        with pytest.raises(TraceError, match="line 3"):
+            read_trace_csv(path)
+
+    def test_csv_single_row_rejected(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t,y\n0.1,1\n")
+        with pytest.raises(TraceError, match="needs two"):
+            read_trace_csv(path)
+
     def test_problem_json_round_trip(self, tmp_path):
         problem = make_problem(control_series_terms=200)
         path = tmp_path / "problem.json"
@@ -304,6 +456,12 @@ class TestSampleTrace:
             SampleTrace(0.0, -1.0, np.ones(3))
         with pytest.raises(ValueError):
             SampleTrace(0.0, 1.0, np.zeros(0))
+
+    def test_non_finite_values_rejected_by_index(self):
+        with pytest.raises(TraceError, match="index 2"):
+            SampleTrace(0.3, 0.01, [1.0, 2.0, np.nan, np.inf])
+        with pytest.raises(TraceError, match="index 0"):
+            SampleTrace(0.3, 0.01, [-np.inf])
 
     def test_times(self):
         trace = SampleTrace(0.3, 0.01, np.zeros(3))

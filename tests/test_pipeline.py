@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from heatpencil import reference
-from heatpencil.model import HeatProblem, SampleTrace, sample
+from heatpencil import pencil, reference
+from heatpencil.model import HeatProblem, SampleTrace, sample_windows
 from heatpencil.pipeline import (
     AlphaUnrecoverableError,
     AmbiguousIndicesError,
@@ -27,14 +27,7 @@ PI_SQ = math.pi**2
 
 def traces_for(problem, cfg=None):
     cfg = cfg or PipelineConfig()
-    period_free = (problem.t2 - problem.t1) / cfg.n1
-    period_step = (problem.t3 - problem.t2) / cfg.n2
-    period_rec = (problem.t2 - cfg.t0) / cfg.n_rec
-    return (
-        sample(problem, problem.t1, period_free, cfg.n1),
-        sample(problem, problem.t2, period_step, cfg.n2),
-        sample(problem, cfg.t0, period_rec, cfg.n_rec),
-    )
+    return sample_windows(problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec)
 
 
 class TestFreeWindowSpectrum:
@@ -58,6 +51,17 @@ class TestFreeWindowSpectrum:
         free = free_window_spectrum(trace)
         assert free.rates[0] == 0.0
         assert free.coefficients[0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_faded_fast_mode_is_named(self):
+        # rates 0 and 200 are far apart, but exp(-200 t) <= 1e-26 on [0.3, 0.8)
+        # leaves the absolute-time refit column numerically zero
+        k = np.arange(50)
+        trace = SampleTrace(0.3, 0.01, 1.0 + np.exp(-2.0 * k))
+        with pytest.raises(pencil.DegenerateRatesError) as info:
+            free_window_spectrum(trace)
+        message = str(info.value)
+        assert "rate 200 decayed below rounding by t = 0.3" in message
+        assert "too close" not in message
 
 
 class TestTransformStepWindow:
@@ -298,13 +302,8 @@ class TestFactorizationCounts:
 
     @staticmethod
     def _reference_traces():
-        problem = reference.reference_problem()
         cfg = reference.reference_config()
-        return (
-            sample(problem, problem.t1, (problem.t2 - problem.t1) / cfg.n1, cfg.n1),
-            sample(problem, problem.t2, (problem.t3 - problem.t2) / cfg.n2, cfg.n2),
-            sample(problem, cfg.t0, (problem.t2 - cfg.t0) / cfg.n_rec, cfg.n_rec),
-        ), cfg
+        return traces_for(reference.reference_problem(), cfg), cfg
 
     def test_with_priors(self, counts):
         traces, cfg = self._reference_traces()
