@@ -48,7 +48,6 @@ from .model import (
 )
 from .pencil import (
     HankelSet,
-    PencilConfig,
     PencilError,
     PencilEstimate,
     analyze,

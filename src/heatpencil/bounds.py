@@ -37,7 +37,8 @@ class BoundInputs:
     diffusivity from below; both are user-supplied priors.  The rest is
     recorded by the estimator: retained order m, sample count n, pencil
     parameter l, window start t1, sampling period ts, and the spectral
-    diagnostics sigma_m, y1_norm, y0_trunc_gap, kappa_xm.
+    diagnostics sigma_m, y1_norm, y0_trunc_gap, kappa_xm.  Every real input
+    must be finite, except kappa_xm, which is +inf for a defective eigenbasis.
     """
 
     m0: float
@@ -53,6 +54,11 @@ class BoundInputs:
     kappa_xm: float
 
     def __post_init__(self) -> None:
+        for name in ("m0", "alpha0", "t1", "ts", "sigma_m", "y1_norm", "y0_trunc_gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.kappa_xm):
+            raise ValueError("kappa_xm must not be NaN")
         if self.m0 < 0:
             raise ValueError(f"norm prior must be nonnegative, got {self.m0}")
         for name in ("alpha0", "t1", "ts"):

@@ -36,19 +36,28 @@ def _load_json(path: Path) -> dict:
     if not path.exists():
         raise InputError(f"missing input file: {path}")
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _number(data: dict, name: str, where: str, kind=float):
+    """``data[name]`` converted by ``kind``; an InputError names the field otherwise."""
+    if name not in data:
+        raise InputError(f"{where} is missing field '{name}'")
+    try:
+        return kind(data[name])
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{where} field '{name}' is not a number: {data[name]!r}") from None
 
 
 def _load_priors(path: Path) -> tuple[float, float]:
     data = _load_json(path)
-    try:
-        m0 = float(data["M0"] if "M0" in data else data["m0"])
-        alpha0 = float(data["alpha0"])
-    except KeyError as exc:
-        raise InputError(f"{path} must define M0 and alpha0, missing {exc}") from exc
-    return m0, alpha0
+    m0_name = "m0" if "m0" in data and "M0" not in data else "M0"
+    return _number(data, m0_name, str(path)), _number(data, "alpha0", str(path))
 
 
 def _write_manifest(
@@ -207,13 +216,14 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    if args.n1 < 9 or args.n2 < 9:
+        raise InputError("window sample counts must be at least 9")
+    if args.n_rec < 1:
+        raise InputError("reconstruction sample count must be at least 1")
     problem = model.load_problem(args.problem)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = pipeline.PipelineConfig(
-        n1=args.n1, n2=args.n2, t0=args.t0, n_rec=args.n_rec
-    )
-    windows = model.sample_windows(problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec)
+    windows = model.sample_windows(problem, args.n1, args.n2, args.t0, args.n_rec)
     traces = dict(zip(("free.csv", "step.csv", "rec.csv"), windows))
     for name, trace in traces.items():
         model.write_trace_csv(out_dir / name, trace)
@@ -222,7 +232,7 @@ def _cmd_simulate(args) -> int:
         "simulate",
         inputs={"problem": str(args.problem)},
         parameters={
-            "n1": cfg.n1, "n2": cfg.n2, "t0": cfg.t0, "n_rec": cfg.n_rec,
+            "n1": args.n1, "n2": args.n2, "t0": args.t0, "n_rec": args.n_rec,
             "alpha": problem.alpha,
         },
         outputs=sorted(traces),
@@ -274,20 +284,31 @@ def _bound_inputs_from_payload(data: dict, priors: tuple[float, float]) -> tuple
     cert = data.get("certificate")
     if not cert:
         raise InputError("input must be an identification result with a certificate block")
+    if not isinstance(cert, dict):
+        raise InputError(f"certificate block must be a JSON object, got {type(cert).__name__}")
     m0, alpha0 = priors
-    try:
-        inputs = bounds.BoundInputs(
-            m0=m0, alpha0=alpha0,
-            m=int(cert["M"]), n=int(cert["N"]), l=int(cert["L"]),
-            t1=float(cert["T1"]), ts=float(cert["Ts"]),
-            sigma_m=float(cert["sigma_M"]),
-            y1_norm=float(cert["Y1_norm_2"]),
-            y0_trunc_gap=float(cert["Y0M_gap_2"]),
-            kappa_xm=float(cert["kappa_XM"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"certificate block is missing field {exc}") from None
-    return inputs, cert.get("z_tilde"), cert.get("mode_index"), data.get("alpha_hat")
+
+    def field(name, kind=float):
+        return _number(cert, name, "certificate block", kind)
+
+    def optional(block, name, kind=float):
+        return None if block.get(name) is None else _number(block, name, "input", kind)
+
+    inputs = bounds.BoundInputs(
+        m0=m0, alpha0=alpha0,
+        m=field("M", int), n=field("N", int), l=field("L", int),
+        t1=field("T1"), ts=field("Ts"),
+        sigma_m=field("sigma_M"),
+        y1_norm=field("Y1_norm_2"),
+        y0_trunc_gap=field("Y0M_gap_2"),
+        kappa_xm=field("kappa_XM"),
+    )
+    return (
+        inputs,
+        optional(cert, "z_tilde"),
+        optional(cert, "mode_index", int),
+        optional(data, "alpha_hat"),
+    )
 
 
 def _cmd_bounds(args) -> int:
@@ -334,11 +355,10 @@ def _cmd_repro_paper(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = reference.reference_problem()
-    cfg = reference.reference_config()
     model.save_problem(out_dir / "problem.json", problem)
 
     trace_free, trace_step, trace_rec = model.sample_windows(
-        problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec
+        problem, *reference.REFERENCE_SCHEDULE
     )
     for name, trace in (
         ("free.csv", trace_free), ("step.csv", trace_step), ("rec.csv", trace_rec)
@@ -346,7 +366,8 @@ def _cmd_repro_paper(args) -> int:
         model.write_trace_csv(out_dir / name, trace)
 
     result = pipeline.identify(
-        trace_free, trace_step, trace_rec, cfg, reference.REFERENCE_PRIORS
+        trace_free, trace_step, trace_rec, reference.reference_config(),
+        reference.REFERENCE_PRIORS,
     )
     payload = result.to_dict()
     payload["manifest"] = _MANIFEST_NAME
@@ -428,13 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    n1, n2, t0, n_rec = reference.REFERENCE_SCHEDULE
     p = sub.add_parser("simulate", help="synthesize observation traces from a problem file")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("--out", required=True, help="output directory for the trace CSVs")
-    p.add_argument("--n1", type=int, default=50, help="samples in the flux-free window")
-    p.add_argument("--n2", type=int, default=50, help="samples in the flux-step window")
-    p.add_argument("--t0", type=float, default=0.01, help="reconstruction window start")
-    p.add_argument("--n-rec", type=int, default=79, help="samples in the reconstruction window")
+    p.add_argument("--n1", type=int, default=n1, help="samples in the flux-free window")
+    p.add_argument("--n2", type=int, default=n2, help="samples in the flux-step window")
+    p.add_argument("--t0", type=float, default=t0, help="reconstruction window start")
+    p.add_argument("--n-rec", type=int, default=n_rec, help="samples in the reconstruction window")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("identify", help="run the identification pipeline on traces")

@@ -25,7 +25,8 @@ import numpy as np
 PI_SQ = math.pi**2
 
 # Relative term size at which the flux-step exponential tail is cut off, and
-# the hard cap that guards t -> t2 where the series decays like 1/n^2 only.
+# the term count past which (dt below about 4e-12 / alpha) the series gives
+# way to its small-time closed form.
 _TAIL_RELATIVE_CUTOFF = 1e-16
 _TAIL_MAX_TERMS = 10**6
 
@@ -235,9 +236,11 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
 
     Vectorized over the times since the step, ``dt >= 0``.  Each sample's
     series has its own term count: ``n_terms`` if given, else the a-priori
-    count past which terms are below ``_TAIL_RELATIVE_CUTOFF`` times the first
-    (at most ``_TAIL_MAX_TERMS``), with the closed form ``1/(3 alpha)`` at
-    ``dt == 0``.  Chunked summation keeps temporaries near 1 MB.
+    count past which terms are below ``_TAIL_RELATIVE_CUTOFF`` times the first.
+    Where that count exceeds ``_TAIL_MAX_TERMS`` (and at ``dt == 0``) the
+    bracket is the small-time form ``-2 sqrt(dt / (pi alpha))``: by Poisson
+    summation the rest is O(exp(-1 / (alpha dt))), exactly 0.0 there.
+    Chunked summation keeps temporaries near 1 MB.
     """
     if alpha <= 0:
         raise ValueError(f"diffusivity must be positive, got {alpha}")
@@ -249,14 +252,16 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
         raise ValueError(f"n_terms must be positive when set, got {n_terms}")
     if n_terms is None:
         cap = _TAIL_MAX_TERMS
-        # the smallest n with exp(-alpha pi^2 (n^2 - 1) dt) <= cutoff; none at dt = 0
+        # the smallest n with exp(-alpha pi^2 (n^2 - 1) dt) <= cutoff; inf at dt = 0
         with np.errstate(divide="ignore"):
-            need = np.sqrt(1.0 - math.log(_TAIL_RELATIVE_CUTOFF) / (alpha * PI_SQ * flat))
-        counts = np.where(flat > 0, np.minimum(np.ceil(need), cap), 0).astype(int)
+            need = np.ceil(np.sqrt(1.0 - math.log(_TAIL_RELATIVE_CUTOFF) / (alpha * PI_SQ * flat)))
+        small = need > cap
+        counts = np.where(small, 0, need).astype(int)
     else:
         cap = int(n_terms)
+        small = np.zeros(flat.size, dtype=bool)
         counts = np.full(flat.size, cap)
-    tail = np.where(counts > 0, 0.0, 1.0 / (3.0 * alpha))
+    tail = np.zeros(flat.size)
     lo, width = 0, min(_TAIL_FIRST_CHUNK, cap)
     while True:
         rows = np.flatnonzero(counts > lo)
@@ -267,7 +272,9 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
         tail[rows] += _exp_row_sums(flat[rows], lam, 2.0 / lam, counts[rows] - lo)
         lo += width
         width = min(2 * width, _BLOCK, cap - lo)
-    return (-1.0 / (3.0 * alpha) - flat + tail).reshape(dt.shape)
+    out = -1.0 / (3.0 * alpha) - flat + tail
+    out[small] = 0.0 - 2.0 * np.sqrt(flat[small] / (math.pi * alpha))
+    return out.reshape(dt.shape)
 
 
 def _free_part(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
@@ -356,27 +363,38 @@ def problem_to_dict(problem: HeatProblem) -> dict:
 
 
 def problem_from_dict(data: Mapping) -> HeatProblem:
-    try:
-        return HeatProblem(
-            alpha=float(data["alpha"]),
-            u0_coeffs={int(n): float(c) for n, c in data["u0_cosine"].items()},
-            t1=float(data["t1"]),
-            t2=float(data["t2"]),
-            t3=float(data["t3"]),
-            control_amplitude=float(data.get("control_amplitude", 1.0)),
-            control_series_terms=(
-                int(data["control_series_terms"])
-                if data.get("control_series_terms") is not None
-                else None
-            ),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing required field {exc}") from exc
+    """The problem a JSON object describes; ``ValueError`` names a missing or
+    malformed field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a problem must be a JSON object, got {type(data).__name__}")
+    data = {"control_amplitude": 1.0, "control_series_terms": None, **data}
+
+    def get(name, convert=float):
+        if name not in data:
+            raise ValueError(f"problem file is missing required field '{name}'")
+        try:
+            return convert(data[name])
+        except (TypeError, ValueError, AttributeError, OverflowError):
+            raise ValueError(f"problem field '{name}' is malformed: {data[name]!r}") from None
+
+    return HeatProblem(
+        alpha=get("alpha"),
+        u0_coeffs=get("u0_cosine", lambda c: {int(n): float(v) for n, v in c.items()}),
+        t1=get("t1"),
+        t2=get("t2"),
+        t3=get("t3"),
+        control_amplitude=get("control_amplitude"),
+        control_series_terms=get("control_series_terms", lambda v: None if v is None else int(v)),
+    )
 
 
 def load_problem(path: str | Path) -> HeatProblem:
+    """Read a problem file; a ``ValueError`` names the file."""
     with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+        try:
+            return problem_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_problem(path: str | Path, problem: HeatProblem) -> None:

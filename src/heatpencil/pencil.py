@@ -3,11 +3,12 @@
 Given samples ``y_k = sum_i R_i z_i**k`` plus a small perturbation, the
 estimator builds a pair of shifted Hankel matrices, detects the model order
 from the singular spectrum, recovers the poles ``z_i`` as eigenvalues of a
-rank-truncated pencil, converts them to continuous-time decay rates, and fits
-the amplitudes by linear least squares.  Only real nonincreasing signals are
-supported: complex or growing poles are treated as artifacts and dropped.
-The spectral inputs of the error certificate are computed separately, from
-the factors the pole solve keeps, by :func:`certificate_diagnostics`.
+rank-truncated pencil, and converts them to continuous-time decay rates.
+Only real nonincreasing signals are supported: complex or growing poles are
+treated as artifacts and dropped.  Amplitudes are a separate linear
+least-squares fit, :func:`fit_amplitudes`, run by the callers that read them;
+the spectral inputs of the error certificate are computed separately too,
+from the factors the pole solve keeps, by :func:`certificate_diagnostics`.
 """
 
 from __future__ import annotations
@@ -41,35 +42,9 @@ class DegenerateRatesError(PencilError):
     """The amplitude design matrix is rank deficient."""
 
 
-@dataclass(frozen=True)
-class PencilConfig:
-    """Estimator knobs.
-
-    ``pencil_parameter`` fixes the Hankel split L explicitly; when None it is
-    N/3, rounded up to floor(N/3) + 1 when N is not divisible by 3.
-    ``singular_threshold`` is the relative singular-value cutoff for order
-    detection, and ``max_order`` optionally caps the detected order.
-    """
-
-    pencil_parameter: int | None = None
-    singular_threshold: float = 1e-10
-    max_order: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.singular_threshold < 1.0):
-            raise ValueError(
-                f"singular threshold must lie in (0, 1), got {self.singular_threshold}"
-            )
-        if self.pencil_parameter is not None and self.pencil_parameter < 1:
-            raise ValueError("explicit pencil parameter must be positive")
-        if self.max_order is not None and self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
-
-
-def resolve_pencil_parameter(n: int, config: PencilConfig | None = None) -> int:
-    """Hankel split L for a trace of length n."""
-    if config is not None and config.pencil_parameter is not None:
-        return config.pencil_parameter
+def resolve_pencil_parameter(n: int) -> int:
+    """Hankel split L for a trace of length n: N/3, rounded up to
+    floor(N/3) + 1 when N is not divisible by 3."""
     return n // 3 if n % 3 == 0 else n // 3 + 1
 
 
@@ -89,15 +64,13 @@ class HankelSet:
     sample_count: int
 
 
-def build_hankel(trace: SampleTrace, config: PencilConfig | None = None) -> HankelSet:
+def build_hankel(trace: SampleTrace) -> HankelSet:
     """Assemble the Hankel matrix set for a trace of at least 9 samples."""
     values = trace.values
     n = values.size
     if n < 9:
         raise ValueError(f"need at least 9 samples to form the pencil, got {n}")
-    length = resolve_pencil_parameter(n, config)
-    if not (1 <= length <= n - 2):
-        raise ValueError(f"pencil parameter {length} invalid for {n} samples")
+    length = resolve_pencil_parameter(n)
     rows = np.arange(n - length)[:, None]
     y0 = values[(length - 1 - np.arange(length))[None, :] + rows]
     y1 = values[(length - np.arange(length))[None, :] + rows]
@@ -105,9 +78,7 @@ def build_hankel(trace: SampleTrace, config: PencilConfig | None = None) -> Hank
     return HankelSet(y0=y0, y1=y1, y=y, pencil_parameter=length, sample_count=n)
 
 
-def detect_order(
-    sigma: np.ndarray, epsilon: float, max_order: int | None = None
-) -> int:
+def detect_order(sigma: np.ndarray, epsilon: float) -> int:
     """Count singular values at or above ``epsilon`` relative to the largest.
 
     ``sigma`` is a singular spectrum in descending order.  An all-zero
@@ -115,10 +86,7 @@ def detect_order(
     """
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    order = int(np.sum(sigma / sigma[0] >= epsilon))
-    if max_order is not None:
-        order = min(order, max_order)
-    return order
+    return int(np.sum(sigma / sigma[0] >= epsilon))
 
 
 @dataclass(frozen=True)
@@ -251,56 +219,48 @@ def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilEstimate:
-    """Full estimator output for one trace.
+    """Pole-only estimator output for one trace.
 
-    ``truncated_pencil`` holds the factors of the pole solve at the detected
-    order (None when no signal was detected); ``order`` counts the poles kept
-    after complex and growing ones are discarded.
+    ``poles`` descend and ``rates`` ascend.  ``truncated_pencil`` holds the
+    factors of the pole solve at the detected order (None when no signal was
+    detected); ``order`` counts the poles kept after complex and growing ones
+    are discarded.
     """
 
     order: int
     poles: np.ndarray = field(repr=False)
     rates: np.ndarray = field(repr=False)
-    amplitudes: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     truncated_pencil: TruncatedPencil | None = field(repr=False)
     pencil_parameter: int
     sample_count: int
-    period: float
-
-    def reconstruct(self, k: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted exponential sum at sample indices ``k``."""
-        k = np.asarray(k, dtype=float)
-        if self.order == 0:
-            return np.zeros_like(k)
-        return np.exp(-np.outer(k * self.period, self.rates)) @ self.amplitudes
 
 
-def analyze(trace: SampleTrace, config: PencilConfig | None = None) -> PencilEstimate:
-    """Run the estimator: order detection, poles, rates, amplitudes.
+def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
+    """Run the estimator: order detection, poles, rates in ascending order.
 
-    One SVD of Y gives both the detected order and the reported spectrum;
-    one SVD of Y0 gives the poles.  Complex eigenvalue pairs and poles
-    outside (0, 1 + 1e-9] are discarded with a warning, reducing the
+    ``epsilon`` is the relative singular-value cutoff for order detection,
+    in (0, 1).  One SVD of Y gives both the detected order and the reported
+    spectrum; one SVD of Y0 gives the poles.  Complex eigenvalue pairs and
+    poles outside (0, 1 + 1e-9] are discarded with a warning, reducing the
     reported order; poles within rounding of 1 are clamped to exactly 1 (the
     constant mode).  An order detected on Y beyond the L columns of Y0
     raises :class:`RankDeficiencyError`.
     """
-    config = config or PencilConfig()
-    h = build_hankel(trace, config)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"singular threshold must lie in (0, 1), got {epsilon}")
+    h = build_hankel(trace)
     sigma_y = np.linalg.svd(h.y, compute_uv=False)
-    order = detect_order(sigma_y, config.singular_threshold, config.max_order)
+    order = detect_order(sigma_y, epsilon)
     if order == 0:
         return PencilEstimate(
             order=0,
             poles=np.zeros(0),
             rates=np.zeros(0),
-            amplitudes=np.zeros(0),
             singular_values=sigma_y,
             truncated_pencil=None,
             pencil_parameter=h.pencil_parameter,
             sample_count=h.sample_count,
-            period=trace.period,
         )
     if order > h.pencil_parameter:
         raise RankDeficiencyError(
@@ -325,16 +285,12 @@ def analyze(trace: SampleTrace, config: PencilConfig | None = None) -> PencilEst
             stacklevel=2,
         )
     poles = np.minimum(poles[in_range], 1.0)
-    rates = poles_to_rates(poles, trace.period)
-    amplitudes = fit_amplitudes(trace, rates)
     return PencilEstimate(
         order=poles.size,
         poles=poles,
-        rates=rates,
-        amplitudes=amplitudes,
+        rates=poles_to_rates(poles, trace.period),
         singular_values=sigma_y,
         truncated_pencil=truncated,
         pencil_parameter=h.pencil_parameter,
         sample_count=h.sample_count,
-        period=trace.period,
     )

@@ -42,41 +42,27 @@ class AmbiguousIndicesError(IdentificationError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Window sample counts and estimator knobs.
+    """The three estimator parameters of :func:`identify`.
 
-    The reconstruction grid covers [t0, t2) with n_rec samples; with the
-    defaults and t2 = 0.8 the spacing works out to the same 0.01 used by the
-    observation windows.  ``credibility_tol`` is the relative tolerance for
-    accepting a controlled-window mode pair as carrying the drift structure;
-    the default 0.005 accepts exactly the two clean pairs on the reference
-    problem while rejecting the 0.7%-off third pair.
+    ``epsilon`` is the relative singular-value cutoff for the pencil's order
+    detection, in (0, 1); :func:`pencil.analyze` checks it.  ``m_tilde`` is
+    the number of cosine modes of the reconstructed initial profile.
+    ``credibility_tol`` is the relative tolerance for accepting a
+    controlled-window mode pair as carrying the drift structure; the default
+    0.005 accepts exactly the two clean pairs on the reference problem while
+    rejecting the 0.7%-off third pair.  The sampling schedule is not
+    configuration: it is whatever the traces carry.
     """
 
-    n1: int = 50
-    n2: int = 50
     epsilon: float = 1e-10
-    t0: float = 0.01
     m_tilde: int = 20
-    n_rec: int = 79
     credibility_tol: float = 0.005
-    max_order: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n1 < 9 or self.n2 < 9:
-            raise ValueError("window sample counts must be at least 9")
-        if self.t0 <= 0:
-            raise ValueError(f"reconstruction start must be positive, got {self.t0}")
         if self.m_tilde < 1:
             raise ValueError("reconstruction order must be at least 1")
-        if self.n_rec < 1:
-            raise ValueError("reconstruction sample count must be at least 1")
         if self.credibility_tol <= 0:
             raise ValueError("credibility tolerance must be positive")
-
-    def pencil_config(self) -> pencil.PencilConfig:
-        return pencil.PencilConfig(
-            singular_threshold=self.epsilon, max_order=self.max_order
-        )
 
 
 @dataclass(frozen=True)
@@ -101,11 +87,10 @@ def free_window_spectrum(
     zero rate keeps its constant coefficient.
     """
     config = config or PipelineConfig()
-    est = pencil.analyze(trace, config.pencil_config())
+    est = pencil.analyze(trace, config.epsilon)
     if est.order == 0:
         raise NoModesError("no detectable modes in the flux-free window")
-    order = np.argsort(est.rates)
-    rates = est.rates[order]
+    rates = est.rates
     design = np.exp(-np.outer(trace.times, rates))
     coeffs, _, rank, _ = np.linalg.lstsq(design, trace.values, rcond=None)
     if rank < rates.size:
@@ -168,7 +153,8 @@ def alpha_from_step_window(
     """Estimate the diffusivity from the transformed flux-step window.
 
     Every mode of the transformed sum is present regardless of the initial
-    state, so after sorting by rate the position j of a mode is its index.
+    state, so in the pencil's ascending rate order the position j of a mode
+    is its index.
     A pair (C'_j, rate'_j) is credible when C'_j * rate'_j is within
     ``credibility_tol`` (relative) of twice the sampling period; each
     credible pair gives alpha = rate'_j / (j^2 pi^2 period).  The constant
@@ -177,13 +163,12 @@ def alpha_from_step_window(
     """
     config = config or PipelineConfig()
     transformed = transform_step_window(trace, free, t2)
-    est = pencil.analyze(transformed, config.pencil_config())
+    est = pencil.analyze(transformed, config.epsilon)
     if est.order == 0:
         raise AlphaUnrecoverableError(
             "no detectable modes in the transformed flux-step window"
         )
-    order = np.argsort(est.rates)
-    rates = est.rates[order]
+    rates = est.rates
     coeffs = pencil.fit_amplitudes(transformed, rates)
     target = 2.0 * trace.period
     credibility = np.full(rates.size, np.inf)
@@ -266,7 +251,7 @@ def refine_alpha_from_trace(
     """
     config = config or PipelineConfig()
     try:
-        est = pencil.analyze(trace, config.pencil_config())
+        est = pencil.analyze(trace, config.epsilon)
     except (pencil.PencilError, ValueError):
         return alpha_coarse, {}
     candidates: dict[int, float] = {}

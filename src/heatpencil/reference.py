@@ -38,6 +38,9 @@ from .pipeline import PipelineConfig
 REFERENCE_ALPHA = 4.0
 REFERENCE_WINDOWS = (0.3, 0.8, 1.3)
 REFERENCE_PRIORS = (15.0, 3.0)  # (m0, alpha0)
+# (n1, n2, t0, n_rec) for model.sample_windows: 50 samples on each of the
+# flux-free and flux-step windows and 79 on [0.01, t2), all at period 0.01.
+REFERENCE_SCHEDULE = (50, 50, 0.01, 79)
 REFERENCE_CONTROL_TERMS = 200
 
 

@@ -21,6 +21,7 @@ from heatpencil import bounds, model, pencil, pipeline, reference
 from heatpencil.model import HeatProblem, sample
 
 PI_SQ = math.pi**2
+EPSILON = pipeline.PipelineConfig().epsilon
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -31,14 +32,15 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 def reference_run():
     problem = reference.reference_problem()
     cfg = reference.reference_config()
+    n1, n2, t0, n_rec = reference.REFERENCE_SCHEDULE
     t1, t2, t3 = reference.REFERENCE_WINDOWS
     start = time.perf_counter()
-    trace_free = sample(problem, t1, (t2 - t1) / cfg.n1, cfg.n1)
+    trace_free = sample(problem, t1, (t2 - t1) / n1, n1)
     step1_start = time.perf_counter()
     free = pipeline.free_window_spectrum(trace_free, cfg)
     step1_seconds = time.perf_counter() - step1_start
-    trace_step = sample(problem, t2, (t3 - t2) / cfg.n2, cfg.n2)
-    trace_rec = sample(problem, cfg.t0, (t2 - cfg.t0) / cfg.n_rec, cfg.n_rec)
+    trace_step = sample(problem, t2, (t3 - t2) / n2, n2)
+    trace_rec = sample(problem, t0, (t2 - t0) / n_rec, n_rec)
     result = pipeline.identify(
         trace_free, trace_step, trace_rec, cfg, reference.REFERENCE_PRIORS
     )
@@ -169,7 +171,7 @@ class TestCriterion5ExactRecovery:
             n = int(rng.integers(30, 61))
             k = np.arange(n)
             values = (amps[None, :] * poles[None, :] ** k[:, None]).sum(axis=1)
-            est = pencil.analyze(model.SampleTrace(0.0, 1.0, values))
+            est = pencil.analyze(model.SampleTrace(0.0, 1.0, values), EPSILON)
             assert est.order == m, f"order {est.order} != {m} for poles {poles}"
             rel = np.max(np.abs(est.poles - poles) / poles)
             worst_pole = max(worst_pole, rel)
@@ -194,7 +196,7 @@ class TestCriterion6CertificateDominance:
             }
             problem = HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3)
             trace = sample(problem, 0.3, 0.01, 50)
-            est = pencil.analyze(trace)
+            est = pencil.analyze(trace, EPSILON)
             assert est.order == 2
             diag = pencil.certificate_diagnostics(est.truncated_pencil)
             inputs = bounds.BoundInputs(
@@ -295,6 +297,7 @@ class TestCriterion9RoundTrip:
     def test_twenty_randomized_identifications(self):
         rng = np.random.default_rng(7)
         cfg = pipeline.PipelineConfig()
+        n1, n2, t0, n_rec = reference.REFERENCE_SCHEDULE
         worst_alpha = worst_coeff = 0.0
         for _ in range(20):
             alpha = rng.uniform(3.0, 8.0)
@@ -303,9 +306,9 @@ class TestCriterion9RoundTrip:
                 for n in range(4)
             }
             problem = HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3)
-            trace_free = sample(problem, 0.3, 0.01, cfg.n1)
-            trace_step = sample(problem, 0.8, 0.01, cfg.n2)
-            trace_rec = sample(problem, cfg.t0, 0.01, cfg.n_rec)
+            trace_free = sample(problem, 0.3, 0.01, n1)
+            trace_step = sample(problem, 0.8, 0.01, n2)
+            trace_rec = sample(problem, t0, 0.01, n_rec)
             result = pipeline.identify(trace_free, trace_step, trace_rec, cfg)
             alpha_err = abs(result.alpha_hat - alpha) / alpha
             coeff_err = max(

@@ -33,6 +33,23 @@ def reference_inputs(**overrides):
     return BoundInputs(**values)
 
 
+class TestBoundInputs:
+    @pytest.mark.parametrize(
+        "name", ["m0", "alpha0", "t1", "ts", "sigma_m", "y1_norm", "y0_trunc_gap"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            reference_inputs(**{name: value})
+
+    def test_nan_kappa_rejected(self):
+        with pytest.raises(ValueError, match="kappa_xm"):
+            reference_inputs(kappa_xm=math.nan)
+
+    def test_infinite_kappa_of_a_defective_basis_accepted(self):
+        assert reference_inputs(kappa_xm=math.inf).kappa_xm == math.inf
+
+
 class TestTailBound:
     def test_reference_magnitude(self):
         # (sqrt(2) + 1/(4*2*pi^2*3*0.3)) * 15 * exp(-3*4*pi^2*0.3) ~ 7.9e-15

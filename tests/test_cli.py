@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -50,6 +51,22 @@ class TestSimulate:
         rc = main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--n1", "8", "window sample counts must be at least 9"),
+            ("--n2", "8", "window sample counts must be at least 9"),
+            ("--n-rec", "0", "reconstruction sample count must be at least 1"),
+        ],
+    )
+    def test_schedule_refused(self, workspace, capsys, option, value, message):
+        rc = main(
+            ["simulate", str(workspace / "problem.json"), "--out",
+             str(workspace / "traces"), option, value]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_byte_identical_reruns(self, workspace):
         traces_dir = run_simulate(workspace)
@@ -148,6 +165,24 @@ class TestIdentify:
         assert err.count("\n") == 1
         assert "free.csv, line 6: " in err and "not two finite numbers" in err
 
+    @pytest.mark.parametrize(
+        "priors", [{"M0": math.nan, "alpha0": 3.0}, {"M0": 15.0, "alpha0": math.inf}]
+    )
+    def test_non_finite_priors_exit_two_with_one_line(self, workspace, capsys, priors):
+        traces_dir = run_simulate(workspace)
+        (workspace / "bad.json").write_text(json.dumps(priors))
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "bad.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "must be finite" in err
+        assert not (workspace / "result.json").exists()
+
     def test_byte_identical_result(self, workspace):
         traces_dir = run_simulate(workspace)
         out = workspace / "result.json"
@@ -225,6 +260,20 @@ class TestBounds:
         assert err.count("\n") == 1
         assert "missing field 'M'" in err
 
+    @pytest.mark.parametrize("name", ["z_tilde", "mode_index"])
+    def test_malformed_optional_certificate_field_named(self, workspace, capsys, name):
+        result = self._result_path(workspace)
+        data = json.loads(result.read_text())
+        data["certificate"][name] = "x"
+        result.write_text(json.dumps(data))
+        rc = main(
+            ["bounds", str(result), str(workspace / "priors.json"),
+             "--out", str(workspace / "cert.json")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{name}'" in err
+
     def test_unavailable_when_rho_too_large(self, workspace, capsys):
         result = self._result_path(workspace)
         (workspace / "huge.json").write_text(json.dumps({"M0": 1e12, "alpha0": 3.0}))
@@ -243,6 +292,39 @@ class TestBounds:
              "--out", str(workspace / "cert.json")]
         )
         assert rc == 2
+
+
+_PROBLEM = model.problem_to_dict(reference.reference_problem())
+
+
+@pytest.mark.parametrize(
+    "role,payload,named",
+    [
+        ("priors", [1, 2], "bad.json"),
+        ("priors", {"M0": None, "alpha0": 3}, "'M0'"),
+        ("result", [], "bad.json"),
+        ("result", {"certificate": {"M": None}}, "'M'"),
+        ("result", {"certificate": [1]}, "certificate block"),
+        ("problem", [1], "bad.json"),
+        ("problem", {**_PROBLEM, "alpha": None}, "'alpha'"),
+    ],
+)
+def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):
+    bad = workspace / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if role == "problem":
+        argv = ["simulate", str(bad), "--out", str(workspace / "traces")]
+    else:
+        result = workspace / "result.json"
+        main(["identify", str(run_simulate(workspace)), str(workspace / "priors.json"),
+              "--out", str(result)])
+        inputs = (result, bad) if role == "priors" else (bad, workspace / "priors.json")
+        argv = ["bounds", *map(str, inputs), "--out", str(workspace / "cert.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 class TestReproduction:

@@ -327,10 +327,27 @@ class TestSeriesLayer:
         expected = -2.0 * np.sqrt(np.array([1e-5, 1e-7, 1e-9]) / (math.pi * alpha))
         np.testing.assert_allclose(values, expected, rtol=2e-3)
 
+    @pytest.mark.parametrize("alpha", [0.7, 4.0])
+    @pytest.mark.parametrize("dt", [1.1e-16, 1e-14, 1e-13])
+    def test_bracket_small_time_form_past_the_cap(self, alpha, dt):
+        # the series would need more than 10**6 terms here; the image terms
+        # the closed form drops are O(exp(-1 / (alpha dt))) = 0.0
+        expected = -2.0 * math.sqrt(dt / (math.pi * alpha))
+        assert control_bracket(alpha, dt) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.7, 4.0])
+    def test_bracket_continuous_where_the_series_stops(self, alpha):
+        # dt at which the a-priori count reaches 10**6 terms; just inside it
+        # the summed series meets the closed form up to its cancellation error
+        edge = -math.log(1e-16) / (alpha * PI**2 * (1e12 - 1))
+        dt = np.array([0.999, 1.001]) * edge
+        expected = -2.0 * np.sqrt(dt / (math.pi * alpha))
+        np.testing.assert_allclose(control_bracket(alpha, dt), expected, rtol=1e-9)
+
     def test_tail_memory_is_bounded_near_the_step(self):
-        # 16 samples that each need the full 10**6-term tail: 128 MB if the
-        # terms were materialized at once
-        dt = np.full(16, 1e-13)
+        # 16 samples that each need about 9.7 * 10**5 terms, just inside the
+        # series cap: 124 MB if the terms were materialized at once
+        dt = np.full(16, 1e-12)
         tracemalloc.start()
         try:
             values = control_bracket(4.0, dt)

@@ -7,7 +7,6 @@ from heatpencil import reference
 from heatpencil.model import SampleTrace, sample
 from heatpencil.pencil import (
     DegenerateRatesError,
-    PencilConfig,
     PencilError,
     RankDeficiencyError,
     TruncatedPencil,
@@ -32,6 +31,12 @@ def svdvals(matrix):
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+def rebuild(trace, rates, amps):
+    """The exponential sum with these rates and amplitudes on the trace's clock."""
+    k = np.arange(trace.values.size)
+    return np.exp(-np.outer(k * trace.period, rates)) @ amps
+
+
 class TestPencilParameter:
     def test_third_of_n(self):
         assert resolve_pencil_parameter(50) == 17
@@ -39,17 +44,13 @@ class TestPencilParameter:
         assert resolve_pencil_parameter(30) == 10
         assert resolve_pencil_parameter(31) == 11
 
-    def test_explicit_override(self):
-        cfg = PencilConfig(pencil_parameter=12)
-        assert resolve_pencil_parameter(50, cfg) == 12
-
 
 class TestBuildHankel:
     def test_index_bookkeeping(self):
         # oracle: direct index loops for y0[r,c] = y[L-1-c+r], y1 shifted by 1
         y = np.arange(12.0)
         trace = SampleTrace(0.0, 1.0, y)
-        h = build_hankel(trace, PencilConfig(pencil_parameter=4))
+        h = build_hankel(trace)
         rows, length = h.y0.shape
         assert (rows, length) == (8, 4)
         assert h.y.shape == (8, 5)
@@ -95,11 +96,6 @@ class TestDetectOrder:
         h = build_hankel(trace)
         orders = [detect_order(svdvals(h.y), eps) for eps in (1e-14, 1e-10, 1e-6, 1e-2)]
         assert orders == sorted(orders, reverse=True)
-
-    def test_max_order_cap(self):
-        trace = exp_trace([1.0, -2.0, 0.5], [0.9, 0.6, 0.3], 24)
-        h = build_hankel(trace)
-        assert detect_order(svdvals(h.y), 1e-12, max_order=2) == 2
 
 
 class TestEstimatePoles:
@@ -188,23 +184,24 @@ class TestFitAmplitudes:
 class TestAnalyze:
     def test_noiseless_two_term_signal(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 30, period=0.05)
-        est = analyze(trace)
+        est = analyze(trace, 1e-10)
         assert est.order == 2
         np.testing.assert_allclose(est.poles, [0.5, 0.25], atol=1e-10)
-        np.testing.assert_allclose(est.amplitudes, [3.0, 2.0], rtol=1e-9)
+        np.testing.assert_allclose(fit_amplitudes(trace, est.rates), [3.0, 2.0], rtol=1e-9)
         np.testing.assert_allclose(
             est.rates, -np.log([0.5, 0.25]) / 0.05, rtol=1e-10
         )
 
     def test_zero_trace_gives_empty_model(self):
-        est = analyze(SampleTrace(0.0, 1.0, np.zeros(20)))
+        trace = SampleTrace(0.0, 1.0, np.zeros(20))
+        est = analyze(trace, 1e-10)
         assert est.order == 0
         assert est.poles.size == 0
-        assert est.amplitudes.size == 0
+        assert fit_amplitudes(trace, est.rates).size == 0
 
     def test_poles_sorted_descending(self):
         trace = exp_trace([1.0, 1.0, 1.0], [0.2, 0.8, 0.5], 30)
-        est = analyze(trace)
+        est = analyze(trace, 1e-10)
         assert np.all(np.diff(est.poles) < 0)
         assert np.all(np.diff(est.rates) > 0)
 
@@ -216,25 +213,33 @@ class TestAnalyze:
             + 1e-12 * rng.standard_normal(33)
         )
         trace = SampleTrace(0.0, 1.0, values)
-        a, b = analyze(trace), analyze(trace)
+        a, b = analyze(trace, 1e-10), analyze(trace, 1e-10)
         assert a.poles.tobytes() == b.poles.tobytes()
-        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        assert (
+            fit_amplitudes(trace, a.rates).tobytes()
+            == fit_amplitudes(trace, b.rates).tobytes()
+        )
         assert a.singular_values.tobytes() == b.singular_values.tobytes()
         assert certificate_diagnostics(a.truncated_pencil) == certificate_diagnostics(
             b.truncated_pencil
         )
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-10])
+    def test_threshold_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="singular threshold"):
+            analyze(exp_trace([1.0], [0.5], 12), epsilon)
+
     def test_oscillatory_pair_discarded_with_warning(self):
         k = np.arange(30)
         values = 0.9**k * np.cos(1.1 * k)
         with pytest.warns(UserWarning, match="complex"):
-            est = analyze(SampleTrace(0.0, 1.0, values))
+            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
         assert est.order == 0
 
     def test_growing_signal_rejected_with_warning(self):
         values = 1.5 ** np.arange(20)
         with pytest.warns(UserWarning, match="outside"):
-            est = analyze(SampleTrace(0.0, 1.0, values))
+            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
         assert est.order == 0
 
     def test_order_beyond_y0_columns_is_rank_deficiency(self):
@@ -244,20 +249,22 @@ class TestAnalyze:
         noise = 1e-8 * np.random.default_rng(0).standard_normal(50)
         noisy = SampleTrace(trace.t_start, trace.period, trace.values + noise)
         with pytest.raises(RankDeficiencyError, match="order 18 .* 17 columns"):
-            analyze(noisy)
+            analyze(noisy, 1e-10)
 
     def test_reconstruct(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
-        est = analyze(trace)
+        est = analyze(trace, 1e-10)
         np.testing.assert_allclose(
-            est.reconstruct(np.arange(21)), trace.values, rtol=1e-10
+            rebuild(trace, est.rates, fit_amplitudes(trace, est.rates)),
+            trace.values,
+            rtol=1e-10,
         )
 
 
 class TestCertificateDiagnostics:
     def test_spectral_quantities_of_the_pole_solve(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
-        est = analyze(trace)
+        est = analyze(trace, 1e-10)
         h = build_hankel(trace)
         diag = certificate_diagnostics(est.truncated_pencil)
         sigma_y0 = svdvals(h.y0)
@@ -273,7 +280,7 @@ class TestCertificateDiagnostics:
         k = np.arange(30)
         values = 1.0 + 0.9**k * np.cos(1.1 * k)
         with pytest.warns(UserWarning, match="complex"):
-            est = analyze(SampleTrace(0.0, 1.0, values))
+            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
         assert est.order == 1
         assert est.truncated_pencil.sv.size == 3
 
@@ -316,9 +323,9 @@ class TestExactRecovery:
             amps = rng.uniform(0.1, 10.0, m) * rng.choice([-1.0, 1.0], m)
             n = int(rng.integers(30, 61))
             trace = exp_trace(amps, poles, n)
-            est = analyze(trace)
+            est = analyze(trace, 1e-10)
             assert est.order == m
             np.testing.assert_allclose(est.poles, poles, rtol=1e-8)
-            rebuilt = est.reconstruct(np.arange(n))
+            rebuilt = rebuild(trace, est.rates, fit_amplitudes(trace, est.rates))
             scale = np.max(np.abs(trace.values))
             assert np.max(np.abs(rebuilt - trace.values)) <= 1e-8 * scale

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -25,9 +26,25 @@ from heatpencil.pipeline import (
 PI_SQ = math.pi**2
 
 
-def traces_for(problem, cfg=None):
-    cfg = cfg or PipelineConfig()
-    return sample_windows(problem, cfg.n1, cfg.n2, cfg.t0, cfg.n_rec)
+def traces_for(problem):
+    return sample_windows(problem, *reference.REFERENCE_SCHEDULE)
+
+
+class TestPipelineConfig:
+    def test_only_the_estimator_parameters(self):
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "epsilon", "m_tilde", "credibility_tol",
+        ]
+
+    @pytest.mark.parametrize("kwargs", [{"m_tilde": 0}, {"credibility_tol": 0.0}])
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PipelineConfig(**kwargs)
+
+    def test_threshold_checked_where_the_pencil_reads_it(self):
+        problem = HeatProblem(4.0, {0: 0.5, 1: -2.0}, 0.3, 0.8, 1.3)
+        with pytest.raises(ValueError, match="singular threshold"):
+            identify(*traces_for(problem), PipelineConfig(epsilon=1.0))
 
 
 class TestFreeWindowSpectrum:
@@ -302,8 +319,7 @@ class TestFactorizationCounts:
 
     @staticmethod
     def _reference_traces():
-        cfg = reference.reference_config()
-        return traces_for(reference.reference_problem(), cfg), cfg
+        return traces_for(reference.reference_problem()), reference.reference_config()
 
     def test_with_priors(self, counts):
         traces, cfg = self._reference_traces()
@@ -312,13 +328,14 @@ class TestFactorizationCounts:
         assert counts["svd"] <= 10
         assert counts["eig"] == 1
         assert counts["eigvals"] <= 3
-        assert counts["lstsq"] <= 5
+        assert counts["lstsq"] == 2
 
     def test_without_priors(self, counts):
         traces, cfg = self._reference_traces()
         identify(*traces, cfg)
         assert counts["svd"] <= 7
         assert counts["eig"] == 0
+        assert counts["lstsq"] == 2
 
 
 class TestIdentify:
