@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__, bounds, model, pencil, pipeline, reference
 
 _MANIFEST_NAME = "manifest.json"
+_TRACE_FILES = ("free.csv", "step.csv", "rec.csv")  # flux-free, flux-step, reconstruction
 
 
 class InputError(Exception):
@@ -148,7 +150,8 @@ def _svg_line_plot(
     colors_used = []
     for xs, ys, color, label in series:
         ys_t = np.log10(np.maximum(ys, 1e-300)) if log_y else ys
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys_t))
+        flat = np.column_stack((sx(xs), sy(ys_t))).ravel().tolist()
+        points = ("%.2f,%.2f " * len(xs) % tuple(flat))[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -167,12 +170,15 @@ def _svg_line_plot(
     return "\n".join(parts) + "\n"
 
 
+def _csv_text(header: str, row_format: str, *columns: np.ndarray) -> str:
+    """A header line, then ``row_format`` applied to each row of the columns."""
+    return header + "\n" + "".join(row_format % row for row in zip(*(c.tolist() for c in columns)))
+
+
 def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | None) -> list[str]:
     plot_dir.mkdir(parents=True, exist_ok=True)
     ks = np.arange(1, result.gcv_curve.size + 1)
-    (plot_dir / "gcv.csv").write_text(
-        "k,G\n" + "".join(f"{k},{g:.17g}\n" for k, g in zip(ks, result.gcv_curve))
-    )
+    (plot_dir / "gcv.csv").write_text(_csv_text("k,G", "%d,%.17g\n", ks, result.gcv_curve))
     (plot_dir / "gcv.svg").write_text(
         _svg_line_plot(
             [(ks.astype(float), result.gcv_curve, "#1f77b4", "")],
@@ -187,19 +193,13 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
         {n: c for n, c in enumerate(result.u0_coeffs_hat)}, x
     )
     series = [(x, u0_hat, "#d62728", "reconstructed")]
-    csv_rows = ["x,u0_hat"]
-    ref_vals = None
+    header, columns = "x,u0_hat", [x, u0_hat]
     if reference_problem is not None:
         ref_vals = model.evaluate_cosine_series(reference_problem.u0_coeffs, x)
         series.append((x, ref_vals, "#1f77b4", "reference"))
-        csv_rows = ["x,u0_hat,u0_ref"]
-    lines = [csv_rows[0]]
-    for i, xi in enumerate(x):
-        row = f"{xi:.17g},{u0_hat[i]:.17g}"
-        if ref_vals is not None:
-            row += f",{ref_vals[i]:.17g}"
-        lines.append(row)
-    (plot_dir / "u0.csv").write_text("\n".join(lines) + "\n")
+        header, columns = header + ",u0_ref", columns + [ref_vals]
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    (plot_dir / "u0.csv").write_text(_csv_text(header, row_format, *columns))
     (plot_dir / "u0.svg").write_text(
         _svg_line_plot(
             series,
@@ -224,7 +224,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     windows = model.sample_windows(problem, args.n1, args.n2, args.t0, args.n_rec)
-    traces = dict(zip(("free.csv", "step.csv", "rec.csv"), windows))
+    traces = dict(zip(_TRACE_FILES, windows))
     for name, trace in traces.items():
         model.write_trace_csv(out_dir / name, trace)
     _write_manifest(
@@ -243,7 +243,7 @@ def _cmd_simulate(args) -> int:
 
 def _read_traces(traces_dir: Path):
     traces = []
-    for name in ("free.csv", "step.csv", "rec.csv"):
+    for name in _TRACE_FILES:
         path = traces_dir / name
         if not path.exists():
             raise InputError(f"missing trace file: {path}")
@@ -357,18 +357,11 @@ def _cmd_repro_paper(args) -> int:
     problem = reference.reference_problem()
     model.save_problem(out_dir / "problem.json", problem)
 
-    trace_free, trace_step, trace_rec = model.sample_windows(
-        problem, *reference.REFERENCE_SCHEDULE
-    )
-    for name, trace in (
-        ("free.csv", trace_free), ("step.csv", trace_step), ("rec.csv", trace_rec)
-    ):
+    traces = model.sample_windows(problem, *reference.REFERENCE_SCHEDULE)
+    for name, trace in zip(_TRACE_FILES, traces):
         model.write_trace_csv(out_dir / name, trace)
 
-    result = pipeline.identify(
-        trace_free, trace_step, trace_rec, reference.reference_config(),
-        reference.REFERENCE_PRIORS,
-    )
+    result = pipeline.identify(*traces, reference.reference_config(), reference.REFERENCE_PRIORS)
     payload = result.to_dict()
     payload["manifest"] = _MANIFEST_NAME
     _write_json(out_dir / "result.json", payload)
@@ -438,6 +431,7 @@ def _cmd_repro_paper(args) -> int:
     return 0 if not misses else 1
 
 
+@functools.cache  # main() is called repeatedly in process; argparse set-up dominates a call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatpencil",
@@ -486,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, FileNotFoundError, ValueError, model.QuadratureError) as exc:

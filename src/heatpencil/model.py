@@ -89,6 +89,9 @@ class HeatProblem:
     control_series_terms: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "t1", "t2", "t3", "control_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"problem field '{name}' is {getattr(self, name)}, not finite")
         if self.alpha <= 0:
             raise ValueError(f"diffusivity must be positive, got {self.alpha}")
         if not (0 < self.t1 < self.t2 < self.t3):
@@ -102,6 +105,8 @@ class HeatProblem:
             if n < 0:
                 raise ValueError(f"mode index must be nonnegative, got {n}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"problem field 'u0_cosine' entry {n} is {c}, not finite")
             if c != 0.0:
                 coeffs[n] = c
         object.__setattr__(self, "u0_coeffs", MappingProxyType(dict(sorted(coeffs.items()))))
@@ -337,6 +342,9 @@ def sample(problem: HeatProblem, t_start: float, period: float, count: int) -> S
 def sample_windows(problem: HeatProblem, n1: int, n2: int, t0: float, n_rec: int):
     """The flux-free, flux-step and reconstruction windows: ``n1`` samples on
     [t1, t2), ``n2`` on [t2, t3) and ``n_rec`` on [t0, t2)."""
+    for name, count in (("n1", n1), ("n2", n2), ("n_rec", n_rec)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     return (
         sample(problem, problem.t1, (problem.t2 - problem.t1) / n1, n1),
         sample(problem, problem.t2, (problem.t3 - problem.t2) / n2, n2),
@@ -404,12 +412,11 @@ def save_problem(path: str | Path, problem: HeatProblem) -> None:
 
 
 def write_trace_csv(path: str | Path, trace: SampleTrace) -> None:
-    """Write a trace as ``t,y`` rows with full double precision."""
+    """Write a trace as ``t,y`` rows with full double precision, each ending
+    in CRLF as in the ``csv`` module's default dialect."""
+    flat = np.column_stack((trace.times, trace.values)).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"])
-        for t, y in zip(trace.times, trace.values):
-            writer.writerow([f"{t:.17g}", f"{y:.17g}"])
+        fh.write("t,y\r\n" + "%.17g,%.17g\r\n" * len(trace) % tuple(flat))
 
 
 def read_trace_csv(path: str | Path) -> SampleTrace:

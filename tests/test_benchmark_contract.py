@@ -56,3 +56,16 @@ def test_identify_workload_op_and_check(harness, name):
         item = workload.item(items, i)
         outcome = workload.check(item, workload.op(item))
         assert outcome.passed, outcome.problems
+
+
+def test_paper_workload_twice(harness, tmp_path):
+    # the second op's check compares every artifact but the manifests with
+    # the first op's bytes
+    _, workloads = harness
+    workload = workloads.make("paper", tmp_path / "work")
+    state = workload.setup(1)
+    for _ in range(2):
+        item = workload.item(state, 0)
+        outcome = workload.check(item, workload.op(item))
+        assert outcome.passed, outcome.problems
+    assert state.first and "repro/u0.svg" in state.first

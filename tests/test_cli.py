@@ -1,12 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from heatpencil import model, reference
+from heatpencil import cli, model, reference
 from heatpencil.cli import main
 from heatpencil.model import HeatProblem, free_response, step_response
 
@@ -307,6 +309,7 @@ _PROBLEM = model.problem_to_dict(reference.reference_problem())
         ("result", {"certificate": [1]}, "certificate block"),
         ("problem", [1], "bad.json"),
         ("problem", {**_PROBLEM, "alpha": None}, "'alpha'"),
+        ("problem", {**_PROBLEM, "alpha": math.nan}, "'alpha'"),
     ],
 )
 def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):
@@ -347,6 +350,99 @@ class TestReproduction:
         assert any("kappa" in line for line in missed)
         for name in ("problem.json", "free.csv", "result.json", "gcv.svg", "u0.svg"):
             assert (tmp_path / "repro" / name).exists()
+
+
+class TestArtifactFormats:
+    """The writers format whole arrays; these pin their bytes to per-element
+    f-string formatting of the same values."""
+
+    @staticmethod
+    def loop_polylines(series, log_y):
+        ys_of = [np.log10(np.maximum(ys, 1e-300)) if log_y else ys for _, ys in series]
+        xs_all = np.concatenate([xs for xs, _ in series])
+        ys_all = np.concatenate(ys_of)
+        x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+        y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+        width, height, margin = cli._SVG_W, cli._SVG_H, cli._MARGIN
+        return [
+            " ".join(
+                f"{margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.2f},"
+                f"{height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.2f}"
+                for x, y in zip(xs, ys)
+            )
+            for (xs, _), ys in zip(series, ys_of)
+        ]
+
+    @pytest.mark.parametrize("log_y", [False, True])
+    def test_polyline_matches_per_point_formatting(self, log_y):
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e6):
+            xs = np.sort(rng.uniform(-2.0, 3.0, 700))
+            series = [
+                (xs, rng.standard_normal(700) * scale), (xs[::2], rng.exponential(scale, 350))
+            ]
+            if log_y:
+                series = [(x, np.abs(y)) for x, y in series]
+            svg = cli._svg_line_plot(
+                [(x, y, "#000000", "") for x, y in series], "t", "x", "y", log_y=log_y
+            )
+            points = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert points == self.loop_polylines(series, log_y)
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_csv_twins_match_per_row_formatting(self, tmp_path, with_reference):
+        rng = np.random.default_rng(12)
+        result = types.SimpleNamespace(
+            gcv_curve=np.abs(rng.standard_normal(37)) * 10.0 ** rng.integers(-20, 3, 37),
+            u0_coeffs_hat=rng.standard_normal(12),
+        )
+        problem = reference.reference_problem() if with_reference else None
+        cli._emit_plots(tmp_path, result, problem)
+        gcv_rows = [f"{k},{g:.17g}" for k, g in zip(range(1, 38), result.gcv_curve)]
+        assert (tmp_path / "gcv.csv").read_text() == "\n".join(["k,G", *gcv_rows]) + "\n"
+        x = np.linspace(0.0, 1.0, 1001)
+        u0_hat = model.evaluate_cosine_series(dict(enumerate(result.u0_coeffs_hat)), x)
+        u0_rows = [f"{xi:.17g},{u0_hat[i]:.17g}" for i, xi in enumerate(x)]
+        header = "x,u0_hat"
+        if with_reference:
+            ref = model.evaluate_cosine_series(problem.u0_coeffs, x)
+            u0_rows = [f"{row},{ref[i]:.17g}" for i, row in enumerate(u0_rows)]
+            header += ",u0_ref"
+        assert (tmp_path / "u0.csv").read_text() == "\n".join([header, *u0_rows]) + "\n"
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # main() keeps one parser per process; a run, an argument error and
+    # another run in sequence must each behave as in a fresh process.
+    def fresh(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "heatpencil.cli", *argv], capture_output=True, text=True
+        )
+
+    priors = tmp_path / "priors.json"
+    priors.write_text(json.dumps({"M0": 15.0, "alpha0": 3.0}))
+    repro = tmp_path / "repro"
+    assert main(["repro-paper", "--out", str(repro)]) == 1
+    capsys.readouterr()
+    no_out = ["identify", str(repro), str(priors), "--plot", str(tmp_path / "plots")]
+    with pytest.raises(SystemExit) as exc:
+        main(no_out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --out" in err
+    run = fresh(*no_out)
+    assert (run.returncode, run.stderr) == (2, err)
+    assert not (tmp_path / "plots").exists()
+    bounds = ["bounds", str(repro / "result.json"), str(priors), "--out"]
+    assert main([*bounds, str(tmp_path / "bounds" / "certificate.json")]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("alpha interval: (")
+    run = fresh(*bounds, str(tmp_path / "fresh" / "certificate.json"))
+    assert (run.returncode, run.stdout) == (0, printed)
+    assert (tmp_path / "bounds" / "certificate.json").read_bytes() == (
+        tmp_path / "fresh" / "certificate.json"
+    ).read_bytes()
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestConsoleEntry:

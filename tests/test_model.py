@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 
@@ -373,6 +375,14 @@ class TestSeriesLayer:
         assert (rec.t_start, rec.period, len(rec)) == (0.01, (0.8 - 0.01) / 79, 79)
         np.testing.assert_array_equal(step.values, sample(problem, 0.8, 0.5 / 40, 40).values)
 
+    @pytest.mark.parametrize("counts,name", [
+        ((0, 50, 79), "n1"), ((50, 0, 79), "n2"), ((50, 50, 0), "n_rec"), ((50, -3, 79), "n2"),
+    ])
+    def test_sample_windows_counts_named(self, counts, name):
+        n1, n2, n_rec = counts
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            sample_windows(make_problem(), n1, n2, 0.01, n_rec)
+
 
 class TestParseval:
     def test_norm_matches_quadrature(self):
@@ -392,6 +402,20 @@ class TestHeatProblem:
             HeatProblem(4.0, {0: 1.0}, -0.1, 0.3, 1.3)
         with pytest.raises(ValueError):
             HeatProblem(0.0, {0: 1.0}, 0.3, 0.8, 1.3)
+
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("t1", math.nan), ("t2", math.nan),
+        ("t3", math.inf), ("t3", math.nan), ("control_amplitude", math.nan),
+        ("control_amplitude", -math.inf),
+    ])
+    def test_non_finite_field_named(self, name, value):
+        fields = dict(alpha=4.0, u0_coeffs={0: 1.0}, t1=0.3, t2=0.8, t3=1.3)
+        with pytest.raises(ValueError, match=f"^problem field '{name}' is"):
+            HeatProblem(**{**fields, name: value})
+
+    def test_non_finite_coefficient_named(self):
+        with pytest.raises(ValueError, match="^problem field 'u0_cosine' entry 3 is nan"):
+            HeatProblem(4.0, {0: 1.0, 3: math.nan}, 0.3, 0.8, 1.3)
 
     def test_zero_coefficients_dropped(self):
         problem = HeatProblem(4.0, {0: 1.0, 2: 0.0, 5: 3.0}, 0.3, 0.8, 1.3)
@@ -422,6 +446,27 @@ class TestFileFormats:
         # the period is re-derived from printed times, exact only to rounding
         assert back.period == pytest.approx(trace.period, rel=1e-12)
         np.testing.assert_array_equal(back.values, trace.values)
+
+    def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
+        # the format written by csv.writer with one 17-digit field per value
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 1e-300, 1e300):
+            values = rng.standard_normal(64) * scale
+            values[:4] = [-0.0, 5e-324, 1e308, 1e-300]
+            t_start, period = rng.uniform(0.01, 2.0), rng.uniform(1e-4, 0.1)
+            trace = SampleTrace(float(t_start), float(period), values)
+            path = tmp_path / "trace.csv"
+            write_trace_csv(path, trace)
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(["t", "y"])
+            for t, y in zip(trace.times, trace.values):
+                writer.writerow([f"{t:.17g}", f"{y:.17g}"])
+            assert path.read_bytes() == expected.getvalue().encode()
+            back = read_trace_csv(path)
+            assert back.t_start == trace.t_start
+            np.testing.assert_array_equal(back.values, trace.values)
+            assert math.copysign(1.0, back.values[0]) == -1.0
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
