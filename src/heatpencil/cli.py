@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import json
 import sys
 from pathlib import Path
@@ -423,7 +422,7 @@ def _cmd_repro_paper(args) -> int:
         parameters={"alpha": problem.alpha, "M0": reference.REFERENCE_PRIORS[0],
                     "alpha0": reference.REFERENCE_PRIORS[1]},
         outputs=sorted(
-            ["problem.json", "free.csv", "step.csv", "rec.csv", "result.json",
+            ["problem.json", *_TRACE_FILES, "result.json",
              "report.md", "gcv.svg", "gcv.csv", "u0.svg", "u0.csv"]
         ),
     )
@@ -431,7 +430,6 @@ def _cmd_repro_paper(args) -> int:
     return 0 if not misses else 1
 
 
-@functools.cache  # main() is called repeatedly in process; argparse set-up dominates a call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatpencil",

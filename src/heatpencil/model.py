@@ -40,6 +40,8 @@ _EXP_ZERO = -746.0
 _QUAD_NODES = 16  # Gauss-Legendre nodes per panel
 _QUAD_MAX_PANELS = 2**14
 
+_CSV_BLOCK_ROWS = 2**16  # trace rows formatted per write; bounds the text held
+
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
@@ -414,9 +416,13 @@ def save_problem(path: str | Path, problem: HeatProblem) -> None:
 def write_trace_csv(path: str | Path, trace: SampleTrace) -> None:
     """Write a trace as ``t,y`` rows with full double precision, each ending
     in CRLF as in the ``csv`` module's default dialect."""
-    flat = np.column_stack((trace.times, trace.values)).ravel().tolist()
+    times, values = trace.times, trace.values
     with open(path, "w", newline="") as fh:
-        fh.write("t,y\r\n" + "%.17g,%.17g\r\n" * len(trace) % tuple(flat))
+        fh.write("t,y\r\n")
+        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            flat = np.column_stack((times[rows], values[rows])).ravel().tolist()
+            fh.write("%.17g,%.17g\r\n" * (len(flat) // 2) % tuple(flat))
 
 
 def read_trace_csv(path: str | Path) -> SampleTrace:

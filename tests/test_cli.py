@@ -411,9 +411,10 @@ class TestArtifactFormats:
         assert (tmp_path / "u0.csv").read_text() == "\n".join([header, *u0_rows]) + "\n"
 
 
-def test_parser_reused_across_calls(tmp_path, capsys):
-    # main() keeps one parser per process; a run, an argument error and
-    # another run in sequence must each behave as in a fresh process.
+def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys):
+    # main() is also called in process, several times in one: a run, an
+    # argument error and another run in sequence must each behave as they
+    # do in a fresh process.
     def fresh(*argv):
         return subprocess.run(
             [sys.executable, "-m", "heatpencil.cli", *argv], capture_output=True, text=True
@@ -442,7 +443,6 @@ def test_parser_reused_across_calls(tmp_path, capsys):
     assert (tmp_path / "bounds" / "certificate.json").read_bytes() == (
         tmp_path / "fresh" / "certificate.json"
     ).read_bytes()
-    assert cli.build_parser() is cli.build_parser()
 
 
 class TestConsoleEntry:

@@ -30,6 +30,16 @@ from heatpencil.model import (
 PI = math.pi
 
 
+def csv_writer_bytes(trace):
+    """The trace as csv.writer writes it with one 17-digit field per value."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["t", "y"])
+    for t, y in zip(trace.times, trace.values):
+        writer.writerow([f"{t:.17g}", f"{y:.17g}"])
+    return expected.getvalue().encode()
+
+
 def reference_u0(x):
     return x - 9 * np.cos(PI * x) + 5 * np.cos(3 * PI * x)
 
@@ -457,16 +467,33 @@ class TestFileFormats:
             trace = SampleTrace(float(t_start), float(period), values)
             path = tmp_path / "trace.csv"
             write_trace_csv(path, trace)
-            expected = io.StringIO()
-            writer = csv.writer(expected)
-            writer.writerow(["t", "y"])
-            for t, y in zip(trace.times, trace.values):
-                writer.writerow([f"{t:.17g}", f"{y:.17g}"])
-            assert path.read_bytes() == expected.getvalue().encode()
+            assert path.read_bytes() == csv_writer_bytes(trace)
             back = read_trace_csv(path)
             assert back.t_start == trace.t_start
             np.testing.assert_array_equal(back.values, trace.values)
             assert math.copysign(1.0, back.values[0]) == -1.0
+
+    def test_trace_csv_block_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_CSV_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(9)
+        for n in (1, 6, 7, 8, 21, 23):
+            trace = SampleTrace(0.25, 0.001, rng.standard_normal(n))
+            path = tmp_path / "trace.csv"
+            write_trace_csv(path, trace)
+            assert path.read_bytes() == csv_writer_bytes(trace)
+
+    def test_trace_csv_memory_is_bounded(self, tmp_path, monkeypatch):
+        # formatting 2**16 rows at once would hold about 9 MB of text, list
+        # and tuple; blocks of 2**10 rows keep the peak near the times array
+        monkeypatch.setattr(model, "_CSV_BLOCK_ROWS", 2**10)
+        trace = SampleTrace(0.25, 1e-6, np.random.default_rng(10).standard_normal(2**16))
+        tracemalloc.start()
+        try:
+            write_trace_csv(tmp_path / "trace.csv", trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
