@@ -19,11 +19,10 @@ from .bounds import (
     ErrorCertificate,
     alpha_error_bound,
     build_certificate,
+    certificate_inputs,
     condition_number,
     decay_envelope,
     frobenius_bounds,
-    pole_error_bound,
-    rho,
     tail_bound,
 )
 from .model import (

@@ -2,11 +2,12 @@
 
 Everything here is plain arithmetic over a priori data (a norm bound on the
 initial profile and a lower bound on the diffusivity) plus spectral
-diagnostics recorded by the pencil solve.  The chain is: a truncation-tail
-bound for the discarded modes, Frobenius bounds for the Hankel perturbations
-they induce, a normalized perturbation level rho, a Bauer-Fike style pole
-perturbation bound (valid only when rho < 1), and finally an interval for the
-identified diffusivity.
+diagnostics that :func:`certificate_inputs` reads from the factors the pole
+solve keeps.  The chain is: a truncation-tail bound for the discarded modes,
+Frobenius bounds for the Hankel perturbations they induce, a normalized
+perturbation level rho, a Bauer-Fike style pole perturbation bound (valid
+only when rho < 1), and finally an interval for the identified diffusivity;
+:func:`build_certificate` runs it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import SampleTrace
+from .pencil import PencilEstimate
+
 PI_SQ = math.pi**2
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class CertificateUnavailableError(RuntimeError):
-    """The perturbation level rho is not below one."""
+    """The bounds' premises fail: rho >= 1, 9 samples or fewer, or no signal."""
 
 
 class DefectiveEigenbasisError(RuntimeError):
@@ -34,11 +38,12 @@ class BoundInputs:
     """A priori data plus pencil diagnostics feeding the certificate.
 
     m0 bounds the initial profile's L2 norm from above, alpha0 bounds the
-    diffusivity from below; both are user-supplied priors.  The rest is
-    recorded by the estimator: retained order m, sample count n, pencil
-    parameter l, window start t1, sampling period ts, and the spectral
-    diagnostics sigma_m, y1_norm, y0_trunc_gap, kappa_xm.  Every real input
-    must be finite, except kappa_xm, which is +inf for a defective eigenbasis.
+    diffusivity from below; both are user-supplied priors.  The rest comes
+    from one pole solve (see :func:`certificate_inputs`): retained order m,
+    sample count n, pencil parameter l, window start t1, sampling period ts,
+    and the spectral diagnostics sigma_m, y1_norm, y0_trunc_gap, kappa_xm.
+    Every real input must be finite, except kappa_xm, which is +inf for a
+    defective eigenbasis.
     """
 
     m0: float
@@ -137,50 +142,6 @@ def frobenius_bounds(inputs: BoundInputs) -> tuple[float, float]:
     return frob_y0, frob_y1
 
 
-def rho(inputs: BoundInputs) -> float:
-    """Normalized perturbation level; the certificate requires rho < 1."""
-    frob_y0, _ = frobenius_bounds(inputs)
-    return (inputs.y0_trunc_gap + frob_y0) / inputs.sigma_m
-
-
-@dataclass(frozen=True)
-class PolePerturbationBound:
-    """Both forms of the pole bound plus which hypothesis applied."""
-
-    applicable: float
-    special: float | None
-    general: float
-    branch: str
-    rho: float
-
-
-def pole_error_bound(inputs: BoundInputs) -> PolePerturbationBound:
-    """Bound on the pole perturbation caused by the discarded tail.
-
-    The special form applies when theta > 1/(l-1); the general form is always
-    computed.  Raises when rho >= 1, where the derivation has no force.
-    """
-    level = rho(inputs)
-    if level >= 1.0:
-        raise CertificateUnavailableError(
-            f"certificate unavailable (rho = {level:.4g} >= 1)"
-        )
-    _, frob_y1 = frobenius_bounds(inputs)
-    scale = inputs.kappa_xm / (inputs.sigma_m * (1.0 - level))
-    general = scale * (_GOLDEN * level * inputs.y1_norm + frob_y1)
-    theta = inputs.theta
-    if theta > 1.0 / (inputs.l - 1):
-        special = scale * level * (_GOLDEN * inputs.y1_norm + inputs.sigma_m)
-        return PolePerturbationBound(
-            applicable=special, special=special, general=general,
-            branch="special", rho=level,
-        )
-    return PolePerturbationBound(
-        applicable=general, special=None, general=general,
-        branch="general", rho=level,
-    )
-
-
 def alpha_error_bound(
     pole_bound: float, z_tilde: float, ts: float, mode_index: int
 ) -> tuple[float, float]:
@@ -222,6 +183,43 @@ def condition_number(x: np.ndarray) -> float:
             "eigenvector matrix is numerically singular (defective pencil)"
         )
     return float(sv[0] / sv[-1])
+
+
+def certificate_inputs(
+    estimate: PencilEstimate, trace: SampleTrace, m0: float, alpha0: float
+) -> BoundInputs:
+    """The certificate's inputs for the pole solve ``estimate`` of ``trace``.
+
+    The truncation gap is taken by explicit subtraction of Y0 from its
+    rank-M truncation, as the reference results were; the mathematically
+    equal sigma_{M+1} differs at rounding level.  ``kappa_xm``, the condition
+    number of the unit-column eigenvectors of the truncated pencil product
+    (+inf if they are numerically singular), is reproducible only to
+    rounding level: the product's large kernel has a rounding-determined
+    basis.  An estimate without signal, or of 9 samples or fewer, raises
+    :class:`CertificateUnavailableError`.
+    """
+    n = estimate.sample_count
+    if n <= 9:
+        raise CertificateUnavailableError(
+            f"certificate unavailable (the bounds require more than 9 samples, got {n})"
+        )
+    pencil = estimate.truncated_pencil
+    if pencil is None:
+        raise CertificateUnavailableError("certificate unavailable (no signal detected)")
+    um, a, vm = pencil.um, pencil.sv, pencil.vm
+    gap = float(np.linalg.norm((um * a) @ vm.T - pencil.y0, 2))
+    # Eigenvector matrix of the full (L x L) truncated product, unit columns.
+    _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
+    try:
+        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
+    except DefectiveEigenbasisError:
+        kappa = math.inf
+    return BoundInputs(
+        m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
+        t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),
+        y1_norm=float(np.linalg.norm(pencil.y1, 2)), y0_trunc_gap=gap, kappa_xm=kappa,
+    )
 
 
 @dataclass(frozen=True)
@@ -286,17 +284,27 @@ def build_certificate(
 ) -> ErrorCertificate:
     """Assemble the full certificate.
 
-    The diffusivity interval is populated only when an estimated pole with a
-    nonzero mode index (and the estimate itself) are supplied.
+    The pole bound takes its special form when theta > 1/(l-1); the general
+    form is always computed.  Raises when rho >= 1, where the derivation has
+    no force.  The diffusivity interval is populated only when an estimated
+    pole with a nonzero mode index (and the estimate itself) are supplied.
     """
     theta = inputs.theta
     frob_y0, frob_y1 = frobenius_bounds(inputs)
-    bound = pole_error_bound(inputs)
+    rho = (inputs.y0_trunc_gap + frob_y0) / inputs.sigma_m
+    if rho >= 1.0:
+        raise CertificateUnavailableError(
+            f"certificate unavailable (rho = {rho:.4g} >= 1)"
+        )
+    scale = inputs.kappa_xm / (inputs.sigma_m * (1.0 - rho))
+    general = scale * (_GOLDEN * rho * inputs.y1_norm + frob_y1)
+    special = None
+    if theta > 1.0 / (inputs.l - 1):
+        special = scale * rho * (_GOLDEN * inputs.y1_norm + inputs.sigma_m)
+    pole_bound = general if special is None else special
     eig_bound = a_bound = interval = None
     if z_tilde is not None and mode_index:
-        eig_bound, a_bound = alpha_error_bound(
-            bound.applicable, z_tilde, inputs.ts, mode_index
-        )
+        eig_bound, a_bound = alpha_error_bound(pole_bound, z_tilde, inputs.ts, mode_index)
         if alpha_hat is not None:
             interval = (alpha_hat - a_bound, alpha_hat + a_bound)
     return ErrorCertificate(
@@ -306,11 +314,11 @@ def build_certificate(
         tail_bound_t1=tail_bound(inputs.m0, inputs.alpha0, inputs.m, inputs.t1),
         frob_y0=frob_y0,
         frob_y1=frob_y1,
-        rho=bound.rho,
-        pole_bound=bound.applicable,
-        pole_bound_special=bound.special,
-        pole_bound_general=bound.general,
-        branch=bound.branch,
+        rho=rho,
+        pole_bound=pole_bound,
+        pole_bound_special=special,
+        pole_bound_general=general,
+        branch="general" if special is None else "special",
         mode_index=mode_index,
         z_tilde=z_tilde,
         eigenvalue_bound=eig_bound,

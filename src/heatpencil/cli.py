@@ -254,6 +254,7 @@ def _cmd_identify(args) -> int:
     traces_dir = Path(args.traces)
     trace_free, trace_step, trace_rec = _read_traces(traces_dir)
     priors = _load_priors(Path(args.priors))
+    ref_problem = model.load_problem(args.reference_problem) if args.reference_problem else None
     cfg = pipeline.PipelineConfig()
     result = pipeline.identify(trace_free, trace_step, trace_rec, cfg, priors)
     out_path = Path(args.out)
@@ -262,7 +263,6 @@ def _cmd_identify(args) -> int:
     payload["manifest"] = _MANIFEST_NAME
     _write_json(out_path, payload)
     outputs = [out_path.name]
-    ref_problem = model.load_problem(args.reference_problem) if args.reference_problem else None
     if args.plot:
         outputs += _emit_plots(Path(args.plot), result, ref_problem)
     _write_manifest(

@@ -6,9 +6,10 @@ from the singular spectrum, recovers the poles ``z_i`` as eigenvalues of a
 rank-truncated pencil, and converts them to continuous-time decay rates.
 Only real nonincreasing signals are supported: complex or growing poles are
 treated as artifacts and dropped.  Amplitudes are a separate linear
-least-squares fit, :func:`fit_amplitudes`, run by the callers that read them;
-the spectral inputs of the error certificate are computed separately too,
-from the factors the pole solve keeps, by :func:`certificate_diagnostics`.
+least-squares fit, :func:`fit_amplitudes`, run by the callers that read them.
+The pole solve keeps its truncated factors, from which
+:func:`heatpencil.bounds.certificate_inputs` reads the error certificate's
+spectral inputs; this module imports nothing of the package but ``model``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import DefectiveEigenbasisError, condition_number
 from .model import SampleTrace
 
 # Eigenvalues whose relative imaginary part exceeds this are discarded as
@@ -108,8 +108,7 @@ def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, TruncatedPenci
     """Eigenvalues of the rank-``order`` truncated pencil, sorted by real part.
 
     Returns the possibly complex eigenvalues together with the truncated
-    factors, from which :func:`certificate_diagnostics` reads the error
-    certificate's spectral inputs.
+    factors, from which the error certificate's spectral inputs are read.
     """
     rows, length = h.y0.shape
     if not (1 <= order <= min(rows, length)):
@@ -126,48 +125,6 @@ def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, TruncatedPenci
     eigvals = np.linalg.eigvals(z_e)
     eigvals = eigvals[np.argsort(-eigvals.real)]
     return eigvals, TruncatedPencil(y0=h.y0, y1=h.y1, um=um, sv=a, vm=vm)
-
-
-@dataclass(frozen=True)
-class PoleDiagnostics:
-    """Spectral inputs of the error certificate.
-
-    ``y0_trunc_gap_2`` is the spectral norm of the difference between the
-    rank-M truncation of Y0 and Y0 itself, computed by explicit subtraction
-    (the reference results were produced that way; the mathematically equal
-    sigma_{M+1} differs from it at rounding level).  ``kappa_xm`` is the
-    condition number of the unit-column eigenvector matrix of the truncated
-    pencil product, and is reproducible only to rounding-noise level because
-    the product has a large kernel whose basis is rounding-determined.
-    """
-
-    sigma_m: float
-    y1_norm_2: float
-    y0_trunc_gap_2: float
-    kappa_xm: float
-
-
-def certificate_diagnostics(pencil: TruncatedPencil) -> PoleDiagnostics:
-    """sigma_M, the norm of Y1, the truncation gap and kappa of one pole solve.
-
-    A numerically singular eigenvector matrix gives ``kappa_xm = inf``.
-    """
-    um, a, vm = pencil.um, pencil.sv, pencil.vm
-    y0m = (um * a) @ vm.T
-    gap = float(np.linalg.norm(y0m - pencil.y0, 2))
-    # Eigenvector matrix of the full (L x L) truncated product, unit columns.
-    product = ((vm / a) @ um.T) @ pencil.y1
-    _, eigvecs = np.linalg.eig(product)
-    try:
-        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
-    except DefectiveEigenbasisError:
-        kappa = float("inf")
-    return PoleDiagnostics(
-        sigma_m=float(a[-1]),
-        y1_norm_2=float(np.linalg.norm(pencil.y1, 2)),
-        y0_trunc_gap_2=gap,
-        kappa_xm=kappa,
-    )
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:

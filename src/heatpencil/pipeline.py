@@ -442,21 +442,6 @@ def _certificate_for(
     m0: float,
     alpha0: float,
 ) -> bounds.ErrorCertificate | None:
-    est = free.estimate
-    diag = pencil.certificate_diagnostics(est.truncated_pencil)
-    inputs = bounds.BoundInputs(
-        m0=m0,
-        alpha0=alpha0,
-        m=est.order,
-        n=est.sample_count,
-        l=est.pencil_parameter,
-        t1=trace_free.t_start,
-        ts=trace_free.period,
-        sigma_m=diag.sigma_m,
-        y1_norm=diag.y1_norm_2,
-        y0_trunc_gap=diag.y0_trunc_gap_2,
-        kappa_xm=diag.kappa_xm,
-    )
     z_tilde = mode_index = None
     for n, rate, _ in free_modes:
         if n != 0:
@@ -464,6 +449,7 @@ def _certificate_for(
             mode_index = n
             break
     try:
+        inputs = bounds.certificate_inputs(free.estimate, trace_free, m0, alpha0)
         return bounds.build_certificate(
             inputs, alpha_hat=alpha_hat, z_tilde=z_tilde, mode_index=mode_index
         )

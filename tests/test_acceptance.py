@@ -198,16 +198,11 @@ class TestCriterion6CertificateDominance:
             trace = sample(problem, 0.3, 0.01, 50)
             est = pencil.analyze(trace, EPSILON)
             assert est.order == 2
-            diag = pencil.certificate_diagnostics(est.truncated_pencil)
-            inputs = bounds.BoundInputs(
-                m0=m0, alpha0=alpha0, m=est.order, n=est.sample_count,
-                l=est.pencil_parameter, t1=0.3, ts=0.01,
-                sigma_m=diag.sigma_m, y1_norm=diag.y1_norm_2,
-                y0_trunc_gap=diag.y0_trunc_gap_2, kappa_xm=diag.kappa_xm,
-            )
-            level = bounds.rho(inputs)
-            assert level < 1.0
-            bound = bounds.pole_error_bound(inputs).applicable
+            inputs = bounds.certificate_inputs(est, trace, m0, alpha0)
+            assert (inputs.t1, inputs.ts) == (0.3, 0.01)
+            cert = bounds.build_certificate(inputs)
+            assert cert.rho < 1.0
+            bound = cert.pole_bound
             true_pole = math.exp(-alpha * PI_SQ * 0.01)
             measured = abs(est.poles[1] - true_pole)
             assert measured <= bound, f"{measured:.3e} > {bound:.3e}"

@@ -9,13 +9,14 @@ from heatpencil.bounds import (
     DefectiveEigenbasisError,
     alpha_error_bound,
     build_certificate,
+    certificate_inputs,
     condition_number,
     decay_envelope,
     frobenius_bounds,
-    pole_error_bound,
-    rho,
     tail_bound,
 )
+from heatpencil.model import SampleTrace
+from heatpencil.pencil import PencilEstimate, TruncatedPencil, analyze, build_hankel
 
 PI_SQ = math.pi**2
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -175,39 +176,104 @@ class TestFrobeniusBounds:
 class TestRho:
     def test_reference_value_from_published_row(self):
         # with the published gap and sigma_M the level lands on 1.4522e-10
-        assert rho(reference_inputs()) == pytest.approx(1.4522e-10, rel=5e-3)
+        rho = build_certificate(reference_inputs()).rho
+        assert rho == pytest.approx(1.4522e-10, rel=5e-3)
 
     def test_zero_when_gap_and_prior_vanish(self):
         inputs = reference_inputs(m0=0.0, y0_trunc_gap=0.0)
-        assert rho(inputs) == 0.0
+        assert build_certificate(inputs).rho == 0.0
 
     def test_scales_inversely_with_sigma(self):
-        a = rho(reference_inputs(sigma_m=1e-4))
-        b = rho(reference_inputs(sigma_m=2e-4))
+        a = build_certificate(reference_inputs(sigma_m=1e-4)).rho
+        b = build_certificate(reference_inputs(sigma_m=2e-4)).rho
         assert a == pytest.approx(2 * b, rel=1e-12)
 
 
 class TestPoleErrorBound:
     def test_reference_value(self):
-        bound = pole_error_bound(reference_inputs())
-        assert bound.branch == "special"
-        assert bound.applicable == pytest.approx(5.2521e-4, rel=1e-3)
-        assert bound.general > 0
+        cert = build_certificate(reference_inputs())
+        assert cert.branch == "special"
+        assert cert.pole_bound == pytest.approx(5.2521e-4, rel=1e-3)
+        assert cert.pole_bound_general > 0
 
     def test_vanishes_with_rho(self):
-        small = pole_error_bound(reference_inputs(m0=1e-6, y0_trunc_gap=0.0))
-        tiny = pole_error_bound(reference_inputs(m0=1e-9, y0_trunc_gap=0.0))
-        assert tiny.applicable < small.applicable < 1e-10
+        small = build_certificate(reference_inputs(m0=1e-6, y0_trunc_gap=0.0))
+        tiny = build_certificate(reference_inputs(m0=1e-9, y0_trunc_gap=0.0))
+        assert tiny.pole_bound < small.pole_bound < 1e-10
 
     def test_unavailable_when_rho_reaches_one(self):
         with pytest.raises(CertificateUnavailableError, match="rho"):
-            pole_error_bound(reference_inputs(sigma_m=1e-15))
+            build_certificate(reference_inputs(sigma_m=1e-15))
 
     def test_general_branch_when_theta_small(self):
         inputs = reference_inputs(ts=1e-4, sigma_m=1.0)  # theta ~ 0.024 < 1/16
-        bound = pole_error_bound(inputs)
-        assert bound.branch == "general"
-        assert bound.special is None
+        cert = build_certificate(inputs)
+        assert cert.branch == "general"
+        assert cert.pole_bound_special is None
+
+
+def exp_trace(amps, poles, n):
+    # starts at t = 1 so that the trace can carry a certificate
+    k = np.arange(n)
+    values = sum(a * z**k for a, z in zip(amps, poles))
+    return SampleTrace(t_start=1.0, period=1.0, values=np.asarray(values, float))
+
+
+def svdvals(matrix):
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+class TestCertificateInputs:
+    def test_spectral_quantities_of_the_pole_solve(self):
+        trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
+        est = analyze(trace, 1e-10)
+        h = build_hankel(trace)
+        inputs = certificate_inputs(est, trace, 15.0, 3.0)
+        sigma_y0 = svdvals(h.y0)
+        assert inputs.sigma_m == pytest.approx(sigma_y0[1], rel=1e-14)
+        assert inputs.y1_norm == pytest.approx(svdvals(h.y1)[0], rel=1e-14)
+        # the explicit subtraction equals sigma_{M+1} up to rounding
+        assert inputs.y0_trunc_gap == pytest.approx(sigma_y0[2], abs=1e-13)
+        assert 1.0 <= inputs.kappa_xm < math.inf
+        assert (inputs.m0, inputs.alpha0, inputs.m, inputs.n, inputs.l) == (15.0, 3.0, 2, 21, 7)
+        assert (inputs.t1, inputs.ts) == (trace.t_start, trace.period)
+
+    def test_detected_order_kept_after_discards(self):
+        # the constant-plus-oscillation signal keeps one of three poles; the
+        # diagnostics stay at the detected order 3
+        k = np.arange(30)
+        trace = SampleTrace(1.0, 1.0, 1.0 + 0.9**k * np.cos(1.1 * k))
+        with pytest.warns(UserWarning, match="complex"):
+            est = analyze(trace, 1e-10)
+        assert est.order == 1
+        assert est.truncated_pencil.sv.size == 3
+        inputs = certificate_inputs(est, trace, 1.0, 1.0)
+        assert inputs.m == 1
+        assert inputs.sigma_m == est.truncated_pencil.sv[2]
+
+    def test_defective_eigenbasis_gives_infinite_kappa(self):
+        # a Jordan block has one eigenvector: the eigenvector matrix is singular
+        eye = np.eye(2)
+        jordan = TruncatedPencil(
+            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye
+        )
+        est = PencilEstimate(
+            order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(3),
+            truncated_pencil=jordan, pencil_parameter=2, sample_count=10,
+        )
+        trace = SampleTrace(1.0, 1.0, np.ones(10))
+        assert certificate_inputs(est, trace, 1.0, 1.0).kappa_xm == math.inf
+
+    def test_nine_samples_withhold_the_certificate(self):
+        trace = exp_trace([2.0, 1.0], [0.6, 0.3], 9)
+        with pytest.raises(CertificateUnavailableError, match="more than 9 samples, got 9"):
+            certificate_inputs(analyze(trace, 1e-10), trace, 1.0, 1.0)
+
+    def test_no_signal_withholds_the_certificate(self):
+        trace = SampleTrace(1.0, 1.0, np.zeros(12))
+        est = analyze(trace, 1e-10)
+        with pytest.raises(CertificateUnavailableError, match="no signal"):
+            certificate_inputs(est, trace, 1.0, 1.0)
 
 
 class TestAlphaErrorBound:

@@ -110,6 +110,35 @@ class TestIdentify:
         assert u0_rows[0] == "x,u0_hat,u0_ref"
         assert len(u0_rows) == 1002
 
+    def test_nine_sample_free_window_withholds_the_certificate(self, workspace, capsys):
+        traces_dir = workspace / "traces"
+        rc = main(
+            ["simulate", str(workspace / "problem.json"), "--out", str(traces_dir),
+             "--n1", "9"]
+        )
+        assert rc == 0
+        out = workspace / "result.json"
+        rc = main(["identify", str(traces_dir), str(workspace / "priors.json"), "--out", str(out)])
+        assert rc == 0
+        assert "certificate absent" in capsys.readouterr().out
+        assert json.loads(out.read_text())["certificate"] is None
+
+    def test_missing_reference_problem_writes_nothing(self, workspace, capsys):
+        traces_dir = run_simulate(workspace)
+        capsys.readouterr()
+        out = workspace / "out" / "result.json"
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(out),
+                "--reference-problem", str(workspace / "nope.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nope.json" in err
+        assert not out.parent.exists()
+
     def test_missing_step_trace_names_file(self, workspace, capsys):
         traces_dir = run_simulate(workspace)
         (traces_dir / "step.csv").unlink()
@@ -222,6 +251,20 @@ class TestBounds:
         lo, hi = cert["alpha_interval"]
         assert abs(lo - 3.9921) < 1e-3
         assert abs(hi - 4.0079) < 1e-3
+
+    def test_round_trip_matches_the_result_certificate(self, workspace):
+        # identify and bounds reach build_certificate by different ways
+        result = self._result_path(workspace)
+        cert_path = workspace / "certificate.json"
+        rc = main(
+            ["bounds", str(result), str(workspace / "priors.json"),
+             "--out", str(cert_path)]
+        )
+        assert rc == 0
+        cert = json.loads(cert_path.read_text())
+        assert cert.pop("manifest") == "manifest.json"
+        block = json.loads(result.read_text())["certificate"]
+        assert list(cert.items()) == list(block.items())
 
     def test_zero_norm_prior_gives_degenerate_bounds(self, workspace):
         result = self._result_path(workspace)

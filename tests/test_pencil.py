@@ -1,18 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatpencil import reference
+from heatpencil import pencil, reference
+from heatpencil.bounds import certificate_inputs
 from heatpencil.model import SampleTrace, sample
 from heatpencil.pencil import (
     DegenerateRatesError,
     PencilError,
     RankDeficiencyError,
-    TruncatedPencil,
     analyze,
     build_hankel,
-    certificate_diagnostics,
     detect_order,
     estimate_poles,
     fit_amplitudes,
@@ -212,7 +213,7 @@ class TestAnalyze:
             - 0.4 * 0.32 ** np.arange(33)
             + 1e-12 * rng.standard_normal(33)
         )
-        trace = SampleTrace(0.0, 1.0, values)
+        trace = SampleTrace(1.0, 1.0, values)
         a, b = analyze(trace, 1e-10), analyze(trace, 1e-10)
         assert a.poles.tobytes() == b.poles.tobytes()
         assert (
@@ -220,8 +221,8 @@ class TestAnalyze:
             == fit_amplitudes(trace, b.rates).tobytes()
         )
         assert a.singular_values.tobytes() == b.singular_values.tobytes()
-        assert certificate_diagnostics(a.truncated_pencil) == certificate_diagnostics(
-            b.truncated_pencil
+        assert certificate_inputs(a, trace, 1.0, 1.0) == certificate_inputs(
+            b, trace, 1.0, 1.0
         )
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-10])
@@ -261,38 +262,6 @@ class TestAnalyze:
         )
 
 
-class TestCertificateDiagnostics:
-    def test_spectral_quantities_of_the_pole_solve(self):
-        trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
-        est = analyze(trace, 1e-10)
-        h = build_hankel(trace)
-        diag = certificate_diagnostics(est.truncated_pencil)
-        sigma_y0 = svdvals(h.y0)
-        assert diag.sigma_m == pytest.approx(sigma_y0[1], rel=1e-14)
-        assert diag.y1_norm_2 == pytest.approx(svdvals(h.y1)[0], rel=1e-14)
-        # the explicit subtraction equals sigma_{M+1} up to rounding
-        assert diag.y0_trunc_gap_2 == pytest.approx(sigma_y0[2], abs=1e-13)
-        assert 1.0 <= diag.kappa_xm < math.inf
-
-    def test_detected_order_kept_after_discards(self):
-        # the constant-plus-oscillation signal keeps one of three poles; the
-        # diagnostics stay at the detected order 3
-        k = np.arange(30)
-        values = 1.0 + 0.9**k * np.cos(1.1 * k)
-        with pytest.warns(UserWarning, match="complex"):
-            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
-        assert est.order == 1
-        assert est.truncated_pencil.sv.size == 3
-
-    def test_defective_eigenbasis_gives_infinite_kappa(self):
-        # a Jordan block has one eigenvector: the eigenvector matrix is singular
-        eye = np.eye(2)
-        jordan = TruncatedPencil(
-            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye
-        )
-        assert certificate_diagnostics(jordan).kappa_xm == math.inf
-
-
 class TestShiftPencilIdentity:
     def test_nonzero_eigenvalues_of_pinv_product(self):
         # oracle: eigen-solve the explicitly formed pseudoinverse product
@@ -329,3 +298,19 @@ class TestExactRecovery:
             rebuilt = rebuild(trace, est.rates, fit_amplitudes(trace, est.rates))
             scale = np.max(np.abs(trace.values))
             assert np.max(np.abs(rebuilt - trace.values)) <= 1e-8 * scale
+
+
+def test_estimator_imports_only_the_model():
+    # the estimator stands alone: of its own package it reads only traces
+    tree = ast.parse(Path(pencil.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["heatpencil" if node.level else "", node.module]))
+            modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported.update(m.split(".")[1] for m in modules if m.startswith("heatpencil."))
+    assert imported == {"model"}

@@ -367,6 +367,14 @@ class TestIdentify:
         lo, hi = cert.alpha_interval
         assert lo < problem.alpha < hi
 
+    def test_nine_sample_free_window_withholds_the_certificate(self):
+        # the bounds need more than 9 samples; the identification does not
+        traces = sample_windows(reference.reference_problem(), 9, 50, 0.01, 79)
+        bare = identify(*traces)
+        result = identify(*traces, priors=(15.0, 3.0))
+        assert result.certificate is None
+        assert result.alpha_hat == bare.alpha_hat == pytest.approx(4.0, abs=1e-6)
+
     def test_rec_window_must_precede_switch(self):
         problem = HeatProblem(4.0, {0: 1.0}, 0.3, 0.8, 1.3)
         tf, ts, _ = traces_for(problem)
