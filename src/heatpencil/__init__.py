@@ -46,7 +46,6 @@ from .model import (
     write_trace_csv,
 )
 from .pencil import (
-    HankelSet,
     PencilError,
     PencilEstimate,
     analyze,

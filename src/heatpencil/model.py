@@ -48,7 +48,7 @@ class QuadratureError(RuntimeError):
 
 
 class TraceError(ValueError):
-    """A trace is malformed: non-finite values, too few rows, uneven times."""
+    """A trace is malformed: non-finite values or clock, too few rows, uneven times."""
 
 
 def eigenvalue(alpha: float, n: int) -> float:
@@ -132,6 +132,9 @@ class SampleTrace:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("t_start", "period"):
+            if not math.isfinite(getattr(self, name)):
+                raise TraceError(f"trace {name} is {getattr(self, name)}, not finite")
         if self.period <= 0:
             raise ValueError(f"sampling period must be positive, got {self.period}")
         values = np.asarray(self.values, dtype=float)

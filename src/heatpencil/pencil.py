@@ -1,12 +1,14 @@
 """Matrix-pencil estimator for uniformly sampled sums of decaying exponentials.
 
 Given samples ``y_k = sum_i R_i z_i**k`` plus a small perturbation, the
-estimator builds a pair of shifted Hankel matrices, detects the model order
-from the singular spectrum, recovers the poles ``z_i`` as eigenvalues of a
-rank-truncated pencil, and converts them to continuous-time decay rates.
-Only real nonincreasing signals are supported: complex or growing poles are
-treated as artifacts and dropped.  Amplitudes are a separate linear
-least-squares fit, :func:`fit_amplitudes`, run by the callers that read them.
+estimator views the trace as one Hankel matrix Y, detects the model order
+from its singular spectrum, recovers the poles ``z_i`` as eigenvalues of the
+rank-truncated pencil of Y's column-shifted blocks Y0 and Y1, and converts
+them to continuous-time decay rates.  Only real nonincreasing signals are
+supported: complex or growing poles are treated as artifacts and dropped.
+The series coefficients are a separate linear least-squares fit of
+``exp(-rate * t)`` on the trace's times, :func:`fit_amplitudes`, the
+package's one exponential fit, run by the callers that read them.
 The pole solve keeps its truncated factors, from which
 :func:`heatpencil.bounds.certificate_inputs` reads the error certificate's
 spectral inputs; this module imports nothing of the package but ``model``.
@@ -48,34 +50,14 @@ def resolve_pencil_parameter(n: int) -> int:
     return n // 3 if n % 3 == 0 else n // 3 + 1
 
 
-@dataclass(frozen=True)
-class HankelSet:
-    """The three Hankel views of one trace.
-
-    ``y0[r, c] = y[(L-1-c) + r]``, ``y1[r, c] = y[(L-c) + r]`` (every sample
-    index shifted by one), and ``y[r, c] = y[c + r]`` with shape
-    (N-L) x (L+1).
-    """
-
-    y0: np.ndarray = field(repr=False)
-    y1: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    pencil_parameter: int
-    sample_count: int
-
-
-def build_hankel(trace: SampleTrace) -> HankelSet:
-    """Assemble the Hankel matrix set for a trace of at least 9 samples."""
-    values = trace.values
-    n = values.size
+def build_hankel(trace: SampleTrace) -> np.ndarray:
+    """The (N-L) x (L+1) Hankel matrix ``Y[r, c] = y[r + c]`` of a trace of at
+    least 9 samples, as a read-only view of ``trace.values``."""
+    n = trace.values.size
     if n < 9:
         raise ValueError(f"need at least 9 samples to form the pencil, got {n}")
     length = resolve_pencil_parameter(n)
-    rows = np.arange(n - length)[:, None]
-    y0 = values[(length - 1 - np.arange(length))[None, :] + rows]
-    y1 = values[(length - np.arange(length))[None, :] + rows]
-    y = values[np.arange(length + 1)[None, :] + rows]
-    return HankelSet(y0=y0, y1=y1, y=y, pencil_parameter=length, sample_count=n)
+    return np.lib.stride_tricks.sliding_window_view(trace.values, length + 1)
 
 
 def detect_order(sigma: np.ndarray, epsilon: float) -> int:
@@ -93,8 +75,10 @@ def detect_order(sigma: np.ndarray, epsilon: float) -> int:
 class TruncatedPencil:
     """Rank-M factors of Y0 from the pole solve, with the pencil they factor.
 
-    ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
-    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.
+    ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]`` are the
+    reversed column blocks of Y, held as C-contiguous copies.  ``y0`` is
+    approximated by ``(um * sv) @ vm.T``; the poles are the eigenvalues of
+    ``(um.T @ y1 @ vm) / sv[:, None]``.
     """
 
     y0: np.ndarray = field(repr=False)
@@ -104,16 +88,21 @@ class TruncatedPencil:
     vm: np.ndarray = field(repr=False)
 
 
-def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, TruncatedPencil]:
-    """Eigenvalues of the rank-``order`` truncated pencil, sorted by real part.
+def estimate_poles(y: np.ndarray, order: int) -> tuple[np.ndarray, TruncatedPencil]:
+    """Eigenvalues of the rank-``order`` truncated pencil of the Hankel
+    matrix ``y``, sorted by real part.
 
     Returns the possibly complex eigenvalues together with the truncated
     factors, from which the error certificate's spectral inputs are read.
     """
-    rows, length = h.y0.shape
+    rows, length = y.shape[0], y.shape[1] - 1
     if not (1 <= order <= min(rows, length)):
         raise ValueError(f"order {order} invalid for a {rows}x{length} pencil")
-    u, s, vt = np.linalg.svd(h.y0, full_matrices=False)
+    # Contiguous copies: the BLAS products below round differently on
+    # strided views.
+    y0 = np.ascontiguousarray(y[:, length - 1 :: -1])
+    y1 = np.ascontiguousarray(y[:, length:0:-1])
+    u, s, vt = np.linalg.svd(y0, full_matrices=False)
     if s[order - 1] == 0.0:
         raise RankDeficiencyError(
             f"order {order} exceeds the rank of the data (sigma_{order} = 0)"
@@ -121,10 +110,10 @@ def estimate_poles(h: HankelSet, order: int) -> tuple[np.ndarray, TruncatedPenci
     um = u[:, :order]
     vm = vt[:order, :].T
     a = s[:order]
-    z_e = (um.T @ h.y1 @ vm) / a[:, None]
+    z_e = (um.T @ y1 @ vm) / a[:, None]
     eigvals = np.linalg.eigvals(z_e)
     eigvals = eigvals[np.argsort(-eigvals.real)]
-    return eigvals, TruncatedPencil(y0=h.y0, y1=h.y1, um=um, sv=a, vm=vm)
+    return eigvals, TruncatedPencil(y0=y0, y1=y1, um=um, sv=a, vm=vm)
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
@@ -146,10 +135,12 @@ def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
 
 
 def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes of ``sum_i R_i exp(-rate_i * period * k)``.
+    """Least-squares coefficients of ``sum_i R_i exp(-rate_i * t)`` on
+    ``trace.times``, solved through the SVD, never the normal equations.
 
-    The fit runs on the trace's own clock (k = 0 at ``t_start``).  Solved
-    through the SVD, never the normal equations.
+    A rank-deficient design raises :class:`DegenerateRatesError` naming the
+    modes whose column decayed below rounding by ``t_start``, or otherwise
+    the closest rate pair.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.size == 0:
@@ -159,18 +150,24 @@ def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
             f"{rates.size} rates need at least as many samples, "
             f"got {trace.values.size}"
         )
-    k = np.arange(trace.values.size, dtype=float)
-    design = np.exp(-np.outer(k * trace.period, rates))
+    design = np.exp(-np.outer(trace.times, rates))
     amps, _, rank, _ = np.linalg.lstsq(design, trace.values, rcond=None)
     if rank < rates.size:
-        order = np.argsort(rates)
-        gaps = np.diff(rates[order])
-        j = int(np.argmin(gaps)) if gaps.size else 0
-        pair = (rates[order][j], rates[order][j + 1]) if gaps.size else (rates[0],) * 2
-        raise DegenerateRatesError(
-            f"amplitude design matrix is rank deficient; closest rate pair is "
-            f"{pair[0]:.6g} and {pair[1]:.6g}"
-        )
+        # lstsq cuts at eps * max(shape) * sigma_max, and sigma_max is at
+        # least the largest column norm.
+        norms = np.sqrt((design * design).sum(axis=0))
+        faded = rates[norms <= np.finfo(float).eps * max(design.shape) * norms.max()]
+        if faded.size:
+            cause = (
+                f": the mode(s) with rate {', '.join(f'{r:.6g}' for r in faded)} "
+                f"decayed below rounding by t = {trace.t_start:g}"
+            )
+        else:
+            # A lone rate is deficient only when its column is zero: faded.
+            ordered = np.sort(rates)
+            j = int(np.argmin(np.diff(ordered)))
+            cause = f"; closest rate pair is {ordered[j]:.6g} and {ordered[j + 1]:.6g}"
+        raise DegenerateRatesError(f"amplitude design matrix is rank deficient{cause}")
     return amps
 
 
@@ -206,48 +203,39 @@ def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"singular threshold must lie in (0, 1), got {epsilon}")
-    h = build_hankel(trace)
-    sigma_y = np.linalg.svd(h.y, compute_uv=False)
+    y = build_hankel(trace)
+    length = y.shape[1] - 1
+    sigma_y = np.linalg.svd(y, compute_uv=False)
     order = detect_order(sigma_y, epsilon)
-    if order == 0:
-        return PencilEstimate(
-            order=0,
-            poles=np.zeros(0),
-            rates=np.zeros(0),
-            singular_values=sigma_y,
-            truncated_pencil=None,
-            pencil_parameter=h.pencil_parameter,
-            sample_count=h.sample_count,
-        )
-    if order > h.pencil_parameter:
+    if order > length:
         raise RankDeficiencyError(
-            f"order {order} detected on Y exceeds the {h.pencil_parameter} "
-            "columns of Y0"
+            f"order {order} detected on Y exceeds the {length} columns of Y0"
         )
-    eigvals, truncated = estimate_poles(h, order)
-
-    imag_ok = np.abs(eigvals.imag) <= _REALNESS_TOL * np.abs(eigvals)
-    if not np.all(imag_ok):
-        warnings.warn(
-            f"discarding {int(np.sum(~imag_ok))} complex pencil eigenvalue(s); "
-            "the model class is real",
-            stacklevel=2,
-        )
-    poles = eigvals.real[imag_ok]
-    in_range = (poles > 0.0) & (poles <= 1.0 + _UNIT_POLE_SLACK)
-    if not np.all(in_range):
-        warnings.warn(
-            f"discarding {int(np.sum(~in_range))} pole(s) outside (0, 1]; "
-            "growth is not physical for a cooling trace",
-            stacklevel=2,
-        )
-    poles = np.minimum(poles[in_range], 1.0)
+    poles, truncated = np.zeros(0), None
+    if order:
+        eigvals, truncated = estimate_poles(y, order)
+        imag_ok = np.abs(eigvals.imag) <= _REALNESS_TOL * np.abs(eigvals)
+        if not np.all(imag_ok):
+            warnings.warn(
+                f"discarding {int(np.sum(~imag_ok))} complex pencil eigenvalue(s); "
+                "the model class is real",
+                stacklevel=2,
+            )
+        poles = eigvals.real[imag_ok]
+        in_range = (poles > 0.0) & (poles <= 1.0 + _UNIT_POLE_SLACK)
+        if not np.all(in_range):
+            warnings.warn(
+                f"discarding {int(np.sum(~in_range))} pole(s) outside (0, 1]; "
+                "growth is not physical for a cooling trace",
+                stacklevel=2,
+            )
+        poles = np.minimum(poles[in_range], 1.0)
     return PencilEstimate(
         order=poles.size,
         poles=poles,
         rates=poles_to_rates(poles, trace.period),
         singular_values=sigma_y,
         truncated_pencil=truncated,
-        pencil_parameter=h.pencil_parameter,
-        sample_count=h.sample_count,
+        pencil_parameter=length,
+        sample_count=trace.values.size,
     )

@@ -1,11 +1,12 @@
 """Four-stage identification of diffusivity and initial state from one trace.
 
-Stage 1 runs the pencil on the flux-free window and refits the mode
+Stage 1 runs the pencil on the flux-free window and fits the mode
 coefficients in absolute time.  Stage 2 subtracts that fitted free response
 from the flux-step window and adds back the known drift, leaving a pure
 exponential sum whose structure pins the diffusivity regardless of which
 modes the initial state excites.  Stage 3 reads the diffusivity off the
-credible mode pairs of that sum.  Stage 4 assigns integer mode indices to the
+credible mode pairs of that sum; both coefficient fits are
+:func:`pencil.fit_amplitudes`.  Stage 4 assigns integer mode indices to the
 free-window rates, sharpens the diffusivity, and reconstructs the initial
 profile by a rank-truncated least-squares solve with the truncation rank
 chosen by generalized cross-validation.
@@ -40,6 +41,14 @@ class AmbiguousIndicesError(IdentificationError):
     """Two estimated rates map to the same integer mode index."""
 
 
+class ModeIndexRangeError(IdentificationError):
+    """A rate maps to a mode index whose square overflows a 64-bit integer."""
+
+
+# The largest mode index n whose n * n fits in int64.
+_MAX_MODE_INDEX = math.isqrt(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """The three estimator parameters of :func:`identify`.
@@ -61,8 +70,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.m_tilde < 1:
             raise ValueError("reconstruction order must be at least 1")
-        if self.credibility_tol <= 0:
-            raise ValueError("credibility tolerance must be positive")
+        if not 0 < self.credibility_tol < math.inf:
+            raise ValueError(
+                f"credibility tolerance must be positive and finite, got {self.credibility_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,29 +93,16 @@ def free_window_spectrum(
 ) -> FreeSpectrum:
     """Estimate rates and absolute-time coefficients on the flux-free window.
 
-    Rates come from the pencil poles; the coefficients are refit directly
-    against exp(-rate * t) on the trace's absolute time grid, so a clamped
-    zero rate keeps its constant coefficient.
+    Rates come from the pencil poles; :func:`pencil.fit_amplitudes` fits the
+    coefficients against exp(-rate * t) on the trace's absolute times, so a
+    clamped zero rate keeps its constant coefficient.
     """
     config = config or PipelineConfig()
     est = pencil.analyze(trace, config.epsilon)
     if est.order == 0:
         raise NoModesError("no detectable modes in the flux-free window")
-    rates = est.rates
-    design = np.exp(-np.outer(trace.times, rates))
-    coeffs, _, rank, _ = np.linalg.lstsq(design, trace.values, rcond=None)
-    if rank < rates.size:
-        # A fast mode seen on the window's own clock may have decayed below
-        # rounding by t1 (lstsq cuts at eps * max(shape) * sigma_max, and
-        # sigma_max is at least the largest column norm).
-        norms = np.sqrt((design * design).sum(axis=0))
-        faded = rates[norms <= np.finfo(float).eps * max(design.shape) * norms.max()]
-        cause = (
-            f"the mode(s) with rate {', '.join(f'{r:.6g}' for r in faded)} decayed "
-            f"below rounding by t = {trace.t_start:g}" if faded.size else "rates are too close"
-        )
-        raise pencil.DegenerateRatesError(f"absolute-time refit is rank deficient: {cause}")
-    return FreeSpectrum(rates=rates, coefficients=coeffs, estimate=est)
+    coeffs = pencil.fit_amplitudes(trace, est.rates)
+    return FreeSpectrum(rates=est.rates, coefficients=coeffs, estimate=est)
 
 
 def transform_step_window(
@@ -212,12 +210,21 @@ def assign_mode_indices(
     ``n_k = round(sqrt(rate_k / (alpha pi^2)))``; each nonzero index yields
     ``alpha_k = rate_k / (n_k^2 pi^2)``.  Returns the indices, those per-mode
     estimates, and the median of the per-mode estimates together with the
-    controlled-window value.
+    controlled-window value.  An index beyond 64-bit arithmetic raises
+    :class:`ModeIndexRangeError`.
     """
-    if alpha_step3 <= 0:
-        raise ValueError(f"alpha estimate must be positive, got {alpha_step3}")
+    if not 0 < alpha_step3 < math.inf:
+        raise ValueError(f"alpha estimate must be positive and finite, got {alpha_step3}")
     free_rates = np.asarray(free_rates, dtype=float)
-    indices = np.rint(np.sqrt(free_rates / (alpha_step3 * PI_SQ))).astype(int)
+    ratios = np.sqrt(free_rates / (alpha_step3 * PI_SQ))
+    out_of_range = ~(ratios <= _MAX_MODE_INDEX)
+    if out_of_range.any():
+        j = int(np.argmax(out_of_range))
+        raise ModeIndexRangeError(
+            f"rate {free_rates[j]:.6g} maps to mode index {ratios[j]:.3g} at "
+            f"alpha = {alpha_step3:.6g}, beyond the largest usable index {_MAX_MODE_INDEX}"
+        )
+    indices = np.rint(ratios).astype(int)
     if len(set(indices.tolist())) != indices.size:
         raise AmbiguousIndicesError(
             f"two rates map to the same mode index {indices.tolist()}; "

@@ -16,7 +16,7 @@ from heatpencil.bounds import (
     tail_bound,
 )
 from heatpencil.model import SampleTrace
-from heatpencil.pencil import PencilEstimate, TruncatedPencil, analyze, build_hankel
+from heatpencil.pencil import PencilEstimate, TruncatedPencil, analyze
 
 PI_SQ = math.pi**2
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -227,11 +227,11 @@ class TestCertificateInputs:
     def test_spectral_quantities_of_the_pole_solve(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
         est = analyze(trace, 1e-10)
-        h = build_hankel(trace)
+        pencil = est.truncated_pencil
         inputs = certificate_inputs(est, trace, 15.0, 3.0)
-        sigma_y0 = svdvals(h.y0)
+        sigma_y0 = svdvals(pencil.y0)
         assert inputs.sigma_m == pytest.approx(sigma_y0[1], rel=1e-14)
-        assert inputs.y1_norm == pytest.approx(svdvals(h.y1)[0], rel=1e-14)
+        assert inputs.y1_norm == pytest.approx(svdvals(pencil.y1)[0], rel=1e-14)
         # the explicit subtraction equals sigma_{M+1} up to rounding
         assert inputs.y0_trunc_gap == pytest.approx(sigma_y0[2], abs=1e-13)
         assert 1.0 <= inputs.kappa_xm < math.inf

@@ -164,7 +164,7 @@ class TestIdentify:
 
     def test_pencil_error_exits_two_with_one_line(self, workspace, capsys):
         # the fast mode (rate 200) is visible on the window's own clock but
-        # vanishes from the absolute-time refit, which is then rank deficient
+        # vanishes from the absolute-time fit, which is then rank deficient
         traces_dir = run_simulate(workspace)
         k = np.arange(50)
         free = model.SampleTrace(0.3, 0.01, 1.0 + np.exp(-2.0 * k))
@@ -179,6 +179,25 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert err.startswith("error (DegenerateRatesError): ")
         assert err.count("\n") == 1
+
+    def test_mode_index_overflow_exits_two_with_one_line(self, workspace, capsys):
+        # a free trace scaled by 1e150 gives alpha = 6.7e-151 and a mode
+        # index of 2.4e75, refused before it can wrap in int64
+        traces_dir = run_simulate(workspace)
+        free = model.read_trace_csv(traces_dir / "free.csv")
+        scaled = model.SampleTrace(free.t_start, free.period, free.values * 1e150)
+        model.write_trace_csv(traces_dir / "free.csv", scaled)
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (ModeIndexRangeError): rate 39.4784 maps to mode index")
+        assert err.count("\n") == 1
+        assert not (workspace / "result.json").exists()
 
     def test_non_finite_sample_names_the_line(self, workspace, capsys):
         traces_dir = run_simulate(workspace)

@@ -546,6 +546,13 @@ class TestSampleTrace:
         with pytest.raises(ValueError):
             SampleTrace(0.0, 1.0, np.zeros(0))
 
+    @pytest.mark.parametrize("name", ["t_start", "period"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_clock_rejected_by_name(self, name, value):
+        clock = {"t_start": 0.3, "period": 0.01, name: value}
+        with pytest.raises(TraceError, match=f"trace {name} is"):
+            SampleTrace(values=np.ones(3), **clock)
+
     def test_non_finite_values_rejected_by_index(self):
         with pytest.raises(TraceError, match="index 2"):
             SampleTrace(0.3, 0.01, [1.0, 2.0, np.nan, np.inf])

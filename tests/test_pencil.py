@@ -33,9 +33,8 @@ def svdvals(matrix):
 
 
 def rebuild(trace, rates, amps):
-    """The exponential sum with these rates and amplitudes on the trace's clock."""
-    k = np.arange(trace.values.size)
-    return np.exp(-np.outer(k * trace.period, rates)) @ amps
+    """The exponential sum with these rates and amplitudes on the trace's times."""
+    return np.exp(-np.outer(trace.times, rates)) @ amps
 
 
 class TestPencilParameter:
@@ -48,29 +47,44 @@ class TestPencilParameter:
 
 class TestBuildHankel:
     def test_index_bookkeeping(self):
-        # oracle: direct index loops for y0[r,c] = y[L-1-c+r], y1 shifted by 1
+        # oracle: direct index loops for Y[r,c] = y[c+r] and the solve's
+        # blocks y0[r,c] = y[L-1-c+r], y1 shifted by 1
         y = np.arange(12.0)
         trace = SampleTrace(0.0, 1.0, y)
-        h = build_hankel(trace)
-        rows, length = h.y0.shape
+        hankel = build_hankel(trace)
+        assert hankel.shape == (8, 5)
+        _, truncated = estimate_poles(hankel, 2)
+        rows, length = truncated.y0.shape
         assert (rows, length) == (8, 4)
-        assert h.y.shape == (8, 5)
         for r in range(rows):
             for c in range(length):
-                assert h.y0[r, c] == y[length - 1 - c + r]
-                assert h.y1[r, c] == y[length - c + r]
+                assert truncated.y0[r, c] == y[length - 1 - c + r]
+                assert truncated.y1[r, c] == y[length - c + r]
             for c in range(length + 1):
-                assert h.y[r, c] == y[c + r]
+                assert hankel[r, c] == y[c + r]
+
+    def test_read_only_view_of_the_trace(self):
+        trace = SampleTrace(0.0, 1.0, np.arange(12.0))
+        hankel = build_hankel(trace)
+        assert np.shares_memory(hankel, trace.values)
+        assert not hankel.flags.writeable
+
+    def test_pencil_blocks_are_contiguous_copies(self):
+        trace = SampleTrace(0.0, 1.0, np.arange(12.0))
+        _, truncated = estimate_poles(build_hankel(trace), 2)
+        for block in (truncated.y0, truncated.y1):
+            assert block.flags.c_contiguous
+            assert not np.shares_memory(block, trace.values)
 
     def test_shift_identity(self):
         rng = np.random.default_rng(0)
         trace = SampleTrace(0.0, 1.0, rng.standard_normal(30))
-        h = build_hankel(trace)
-        np.testing.assert_array_equal(h.y1[:, 1:], h.y0[:, :-1])
+        _, truncated = estimate_poles(build_hankel(trace), 3)
+        np.testing.assert_array_equal(truncated.y1[:, 1:], truncated.y0[:, :-1])
 
     def test_default_split_for_fifty_samples(self):
         trace = SampleTrace(0.0, 1.0, np.ones(50))
-        assert build_hankel(trace).pencil_parameter == 17
+        assert build_hankel(trace).shape == (33, 18)
 
     def test_too_few_samples(self):
         trace = SampleTrace(0.0, 1.0, np.ones(8))
@@ -81,8 +95,7 @@ class TestBuildHankel:
 class TestDetectOrder:
     def test_exact_rank_two(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 12)
-        h = build_hankel(trace)
-        assert detect_order(svdvals(h.y), 1e-10) == 2
+        assert detect_order(svdvals(build_hankel(trace)), 1e-10) == 2
 
     def test_zero_matrix_reports_no_signal(self):
         assert detect_order(svdvals(np.zeros((5, 4))), 1e-10) == 0
@@ -94,16 +107,15 @@ class TestDetectOrder:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         trace = exp_trace([1.0, -2.0, 0.5], [0.9, 0.6, 0.3], 24)
-        h = build_hankel(trace)
-        orders = [detect_order(svdvals(h.y), eps) for eps in (1e-14, 1e-10, 1e-6, 1e-2)]
+        sigma = svdvals(build_hankel(trace))
+        orders = [detect_order(sigma, eps) for eps in (1e-14, 1e-10, 1e-6, 1e-2)]
         assert orders == sorted(orders, reverse=True)
 
 
 class TestEstimatePoles:
     def test_two_exponentials_recovered_exactly(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 12)
-        h = build_hankel(trace)
-        poles, truncated = estimate_poles(h, 2)
+        poles, truncated = estimate_poles(build_hankel(trace), 2)
         np.testing.assert_allclose(poles.real, [0.5, 0.25], atol=1e-10)
         assert np.all(np.abs(poles.imag) < 1e-12)
         assert truncated.sv[-1] > 0
@@ -114,25 +126,24 @@ class TestEstimatePoles:
 
     def test_constant_signal_gives_unit_pole(self):
         trace = SampleTrace(0.0, 1.0, np.full(12, 7.5))
-        h = build_hankel(trace)
-        poles, _ = estimate_poles(h, 1)
+        poles, _ = estimate_poles(build_hankel(trace), 1)
         assert poles[0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_overstated_order_on_exact_zero_sigma(self):
         # one nonzero sample makes y0 exactly rank 1
         values = np.zeros(12)
         values[-1] = 1.0
-        h = build_hankel(SampleTrace(0.0, 1.0, values))
-        assert np.linalg.svd(h.y0, compute_uv=False)[1] == 0.0
+        hankel = build_hankel(SampleTrace(0.0, 1.0, values))
+        assert svdvals(hankel[:, -2::-1])[1] == 0.0
         with pytest.raises(RankDeficiencyError):
-            estimate_poles(h, 2)
+            estimate_poles(hankel, 2)
 
     def test_order_bounds_validated(self):
-        h = build_hankel(exp_trace([1.0], [0.5], 12))
+        hankel = build_hankel(exp_trace([1.0], [0.5], 12))
         with pytest.raises(ValueError):
-            estimate_poles(h, 0)
+            estimate_poles(hankel, 0)
         with pytest.raises(ValueError):
-            estimate_poles(h, 99)
+            estimate_poles(hankel, 99)
 
 
 class TestPolesToRates:
@@ -170,6 +181,13 @@ class TestFitAmplitudes:
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 15, period=period)
         amps = fit_amplitudes(trace, rates)
         np.testing.assert_allclose(amps, [3.0, 2.0], rtol=1e-12)
+
+    def test_fits_on_absolute_times(self):
+        # oracle: the coefficients of 3 exp(-2 t) + 2 exp(-5 t) sampled from
+        # t = 0.7, not those of the same sum on the window's own clock
+        times = 0.7 + 0.1 * np.arange(15)
+        trace = SampleTrace(0.7, 0.1, 3.0 * np.exp(-2.0 * times) + 2.0 * np.exp(-5.0 * times))
+        np.testing.assert_allclose(fit_amplitudes(trace, [2.0, 5.0]), [3.0, 2.0], rtol=1e-12)
 
     def test_degenerate_rates_named(self):
         trace = SampleTrace(0.0, 1.0, np.ones(10))
@@ -273,8 +291,8 @@ class TestShiftPencilIdentity:
                 poles = np.sort(rng.uniform(0.2, 0.95, m))[::-1]
             amps = rng.uniform(0.5, 2.0, m) * rng.choice([-1, 1], m)
             trace = exp_trace(amps, poles, 18)
-            h = build_hankel(trace)
-            product = np.linalg.pinv(h.y0, rcond=1e-12) @ h.y1
+            _, truncated = estimate_poles(build_hankel(trace), m)
+            product = np.linalg.pinv(truncated.y0, rcond=1e-12) @ truncated.y1
             eigvals = np.linalg.eigvals(product)
             big = np.sort(eigvals.real[np.abs(eigvals) > 1e-6])[::-1]
             np.testing.assert_allclose(big, poles, atol=1e-7)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from heatpencil import pencil, reference
-from heatpencil.model import HeatProblem, SampleTrace, sample_windows
+from heatpencil.model import HeatProblem, SampleTrace, TraceError, sample_windows
 from heatpencil.pipeline import (
     AlphaUnrecoverableError,
     AmbiguousIndicesError,
     IdentificationError,
+    ModeIndexRangeError,
     NoModesError,
     PipelineConfig,
     alpha_from_step_window,
@@ -36,7 +37,15 @@ class TestPipelineConfig:
             "epsilon", "m_tilde", "credibility_tol",
         ]
 
-    @pytest.mark.parametrize("kwargs", [{"m_tilde": 0}, {"credibility_tol": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"m_tilde": 0},
+            {"credibility_tol": 0.0},
+            {"credibility_tol": math.nan},
+            {"credibility_tol": math.inf},
+        ],
+    )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
@@ -71,7 +80,7 @@ class TestFreeWindowSpectrum:
 
     def test_faded_fast_mode_is_named(self):
         # rates 0 and 200 are far apart, but exp(-200 t) <= 1e-26 on [0.3, 0.8)
-        # leaves the absolute-time refit column numerically zero
+        # leaves the absolute-time fit column numerically zero
         k = np.arange(50)
         trace = SampleTrace(0.3, 0.01, 1.0 + np.exp(-2.0 * k))
         with pytest.raises(pencil.DegenerateRatesError) as info:
@@ -185,6 +194,16 @@ class TestAssignModeIndices:
     def test_requires_positive_alpha(self):
         with pytest.raises(ValueError):
             assign_mode_indices(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_requires_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            assign_mode_indices(np.array([1.0]), alpha)
+
+    def test_index_beyond_int64_refused_before_the_cast(self):
+        # sqrt(39.4784 / (6.7e-151 pi^2)) = 2.4e75 would wrap in int64
+        with pytest.raises(ModeIndexRangeError, match=r"rate 39\.4784 .* index 2\.4"):
+            assign_mode_indices(np.array([0.0, 39.4784]), 6.7e-151)
 
 
 class TestDesignMatrix:
@@ -339,6 +358,25 @@ class TestFactorizationCounts:
 
 
 class TestIdentify:
+    @pytest.mark.parametrize("window,name", [(0, "t_start"), (2, "period")])
+    def test_non_finite_clock_refused(self, window, name):
+        # the trace refuses the clock itself, so identify never sees it
+        traces = traces_for(reference.reference_problem())
+        with pytest.raises(TraceError, match=f"trace {name} is nan"):
+            identify(
+                *traces[:window],
+                dataclasses.replace(traces[window], **{name: math.nan}),
+                *traces[window + 1 :],
+            )
+
+    def test_scaled_free_trace_refused_before_an_infinite_alpha(self):
+        # the controlled window then reads alpha = 6.7e-151, and the free
+        # rate's mode index 2.4e75 is beyond 64-bit arithmetic
+        free, step, rec = traces_for(reference.reference_problem())
+        big = SampleTrace(free.t_start, free.period, free.values * 1e150)
+        with pytest.raises(ModeIndexRangeError, match="alpha = 6.66667e-151"):
+            identify(big, step, rec, priors=reference.REFERENCE_PRIORS)
+
     def test_non_generic_profile_single_even_mode(self):
         # only mode 2 is excited; the pipeline must label it correctly
         problem = HeatProblem(4.0, {2: 1.0}, 0.3, 0.8, 1.3)
