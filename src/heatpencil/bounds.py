@@ -192,12 +192,14 @@ def certificate_inputs(
 
     The truncation gap is taken by explicit subtraction of Y0 from its
     rank-M truncation, as the reference results were; the mathematically
-    equal sigma_{M+1} differs at rounding level.  ``kappa_xm``, the condition
-    number of the unit-column eigenvectors of the truncated pencil product
-    (+inf if they are numerically singular), is reproducible only to
-    rounding level: the product's large kernel has a rounding-determined
-    basis.  An estimate without signal, or of 9 samples or fewer, raises
-    :class:`CertificateUnavailableError`.
+    equal sigma_{M+1} differs at rounding level.  On a window the pencil
+    compressed to Y's triangular factor R, Y0 and Y1 are ``Q.T @ Y0`` and
+    ``Q.T @ Y1``, with the same 2-norms, gap and pencil product.
+    ``kappa_xm``, the condition number of the unit-column eigenvectors of
+    the truncated pencil product (+inf if they are numerically singular), is
+    reproducible only to rounding level: the product's large kernel has a
+    rounding-determined basis.  An estimate without signal, or of 9 samples
+    or fewer, raises :class:`CertificateUnavailableError`.
     """
     n = estimate.sample_count
     if n <= 9:

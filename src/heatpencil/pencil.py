@@ -4,8 +4,13 @@ Given samples ``y_k = sum_i R_i z_i**k`` plus a small perturbation, the
 estimator views the trace as one Hankel matrix Y, detects the model order
 from its singular spectrum, recovers the poles ``z_i`` as eigenvalues of the
 rank-truncated pencil of Y's column-shifted blocks Y0 and Y1, and converts
-them to continuous-time decay rates.  Only real nonincreasing signals are
-supported: complex or growing poles are treated as artifacts and dropped.
+them to continuous-time decay rates.  A window whose pencil parameter L is
+at least ``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix
+Y by the (L+1) x (L+1) triangular factor R of ``Y = QR``: R has Y's
+singular values, and its column blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` give
+the same poles and certificate norms, so every later factorization runs on
+L+1 rows.  Only real nonincreasing signals are supported: complex or
+growing poles are treated as artifacts and dropped.
 The series coefficients are a separate linear least-squares fit of
 ``exp(-rate * t)`` on the trace's times, :func:`fit_amplitudes`, the
 package's one exponential fit, run by the callers that read them.
@@ -30,6 +35,12 @@ _REALNESS_TOL = 1e-6
 _UNIT_POLE_SLACK = 1e-9
 # Rates below _ZERO_RATE_TOL / period are clamped to exactly zero.
 _ZERO_RATE_TOL = 1e-12
+# Windows with a pencil parameter L at least this large are factored through
+# one QR of Y.  From L = 48 the saving exceeds the timing spread; below it
+# the saving is within that spread, and the reference windows (L = 17 and
+# 27), whose certificate is rounding-dependent, stay on the direct path bit
+# for bit.
+_COMPRESS_COLUMNS = 48
 
 
 class PencilError(Exception):
@@ -44,6 +55,13 @@ class DegenerateRatesError(PencilError):
     """The amplitude design matrix is rank deficient."""
 
 
+class ShortTraceError(PencilError, ValueError):
+    """The trace has too few samples to form the pencil.
+
+    Also a ``ValueError``, so callers that catch ``ValueError`` still catch
+    it."""
+
+
 def resolve_pencil_parameter(n: int) -> int:
     """Hankel split L for a trace of length n: N/3, rounded up to
     floor(N/3) + 1 when N is not divisible by 3."""
@@ -55,7 +73,7 @@ def build_hankel(trace: SampleTrace) -> np.ndarray:
     least 9 samples, as a read-only view of ``trace.values``."""
     n = trace.values.size
     if n < 9:
-        raise ValueError(f"need at least 9 samples to form the pencil, got {n}")
+        raise ShortTraceError(f"need at least 9 samples to form the pencil, got {n}")
     length = resolve_pencil_parameter(n)
     return np.lib.stride_tricks.sliding_window_view(trace.values, length + 1)
 
@@ -75,10 +93,15 @@ def detect_order(sigma: np.ndarray, epsilon: float) -> int:
 class TruncatedPencil:
     """Rank-M factors of Y0 from the pole solve, with the pencil they factor.
 
-    ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]`` are the
-    reversed column blocks of Y, held as C-contiguous copies.  ``y0`` is
-    approximated by ``(um * sv) @ vm.T``; the poles are the eigenvalues of
-    ``(um.T @ y1 @ vm) / sv[:, None]``.
+    ``y0`` and ``y1`` are the reversed column blocks ``[:, L-1::-1]`` and
+    ``[:, L:0:-1]`` of the matrix the pole solve was given, held as
+    C-contiguous copies.  On the direct path that matrix is the Hankel
+    matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
+    have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
+    Y's triangular factor R, so they are ``Q.T @ Y0`` and ``Q.T @ Y1`` with
+    L+1 rows, which have the same singular values, 2-norms and pencil.
+    ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
+    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.
     """
 
     y0: np.ndarray = field(repr=False)
@@ -92,8 +115,11 @@ def estimate_poles(y: np.ndarray, order: int) -> tuple[np.ndarray, TruncatedPenc
     """Eigenvalues of the rank-``order`` truncated pencil of the Hankel
     matrix ``y``, sorted by real part.
 
-    Returns the possibly complex eigenvalues together with the truncated
-    factors, from which the error certificate's spectral inputs are read.
+    ``y`` may also be any ``Q.T @ Y`` with orthonormal Q spanning Y's
+    columns, such as the triangular factor R of ``Y = QR``: the poles are
+    the same, since only products with Y's column space enter.  Returns the
+    possibly complex eigenvalues together with the truncated factors, from
+    which the error certificate's spectral inputs are read.
     """
     rows, length = y.shape[0], y.shape[1] - 1
     if not (1 <= order <= min(rows, length)):
@@ -177,8 +203,11 @@ class PencilEstimate:
 
     ``poles`` descend and ``rates`` ascend.  ``truncated_pencil`` holds the
     factors of the pole solve at the detected order (None when no signal was
-    detected); ``order`` counts the poles kept after complex and growing ones
-    are discarded.
+    detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
+    columns, blocks of Y's triangular factor R at or above it.
+    ``singular_values`` is the spectrum of that same matrix, Y or R.
+    ``order`` counts the poles kept after complex and growing ones are
+    discarded.
     """
 
     order: int
@@ -195,7 +224,9 @@ def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
 
     ``epsilon`` is the relative singular-value cutoff for order detection,
     in (0, 1).  One SVD of Y gives both the detected order and the reported
-    spectrum; one SVD of Y0 gives the poles.  Complex eigenvalue pairs and
+    spectrum; one SVD of Y0 gives the poles.  When L is at least
+    ``_COMPRESS_COLUMNS``, Y is first reduced to the triangular factor R of
+    one QR, and both SVDs run on R's L+1 rows.  Complex eigenvalue pairs and
     poles outside (0, 1 + 1e-9] are discarded with a warning, reducing the
     reported order; poles within rounding of 1 are clamped to exactly 1 (the
     constant mode).  An order detected on Y beyond the L columns of Y0
@@ -205,6 +236,8 @@ def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
         raise ValueError(f"singular threshold must lie in (0, 1), got {epsilon}")
     y = build_hankel(trace)
     length = y.shape[1] - 1
+    if length >= _COMPRESS_COLUMNS:
+        y = np.linalg.qr(y, mode="r")
     sigma_y = np.linalg.svd(y, compute_uv=False)
     order = detect_order(sigma_y, epsilon)
     if order > length:

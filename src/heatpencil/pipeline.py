@@ -321,20 +321,33 @@ def gcv_select(
     Returns the selected rank k, the full criterion curve for
     k = 1..min(rank, N-1) (the criterion is undefined at k = N), and the
     rank-k solution, equal to ``tsvd_solve(matrix, rhs, k)``; exact ties
-    resolve to the smaller rank.  The matrix is factored once.
+    resolve to the smaller rank.  The matrix is factored once.  Fewer than 2
+    samples, or a criterion that overflows float64, raise
+    :class:`IdentificationError`.
     """
+    n = matrix.shape[0]
+    if n < 2:
+        raise IdentificationError(
+            f"cross-validation needs at least 2 reconstruction samples, got {n}"
+        )
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     rank = _numerical_rank(s, matrix.shape)
     if rank == 0:
         raise ValueError("cannot cross-validate an all-zero matrix")
-    n = matrix.shape[0]
     rank = min(rank, n - 1)
     projections = u.T @ rhs
     curve = np.empty(rank)
-    for k in range(1, rank + 1):
-        solution = vt[:k].T @ (projections[:k] / s[:k])
-        residual = float(np.sum((matrix @ solution - rhs) ** 2))
-        curve[k - 1] = residual / (n - k) ** 2
+    try:
+        with np.errstate(over="raise"):
+            for k in range(1, rank + 1):
+                solution = vt[:k].T @ (projections[:k] / s[:k])
+                residual = float(np.sum((matrix @ solution - rhs) ** 2))
+                curve[k - 1] = residual / (n - k) ** 2
+    except FloatingPointError:
+        raise IdentificationError(
+            f"cross-validation residual overflows float64 at rank {k} "
+            f"(max |y| = {np.max(np.abs(rhs)):.3g}); rescale the reconstruction trace"
+        ) from None
     k = int(np.argmin(curve)) + 1
     return k, curve, _truncated_solution(u, s, vt, rhs, k)
 

@@ -46,7 +46,7 @@ def test_reference_identify_under_the_tracer(harness):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # noisy data trips the estimator's warnings
-@pytest.mark.parametrize("name", ["batch", "noisy"])
+@pytest.mark.parametrize("name", ["batch", "noisy", "long"])
 def test_identify_workload_op_and_check(harness, name):
     _, workloads = harness
     workload = workloads.make(name, None)

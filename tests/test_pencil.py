@@ -1,17 +1,19 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatpencil import pencil, reference
-from heatpencil.bounds import certificate_inputs
-from heatpencil.model import SampleTrace, sample
+from heatpencil.bounds import build_certificate, certificate_inputs
+from heatpencil.model import HeatProblem, SampleTrace, sample
 from heatpencil.pencil import (
     DegenerateRatesError,
     PencilError,
     RankDeficiencyError,
+    ShortTraceError,
     analyze,
     build_hankel,
     detect_order,
@@ -90,6 +92,14 @@ class TestBuildHankel:
         trace = SampleTrace(0.0, 1.0, np.ones(8))
         with pytest.raises(ValueError, match="at least 9"):
             build_hankel(trace)
+
+    def test_too_few_samples_is_a_typed_pencil_error(self):
+        # a PencilError for the pipeline, still a ValueError for callers
+        # that catch that
+        with pytest.raises(ShortTraceError, match="got 8") as caught:
+            analyze(SampleTrace(0.0, 1.0, np.ones(8)), 1e-10)
+        assert isinstance(caught.value, PencilError)
+        assert isinstance(caught.value, ValueError)
 
 
 class TestDetectOrder:
@@ -278,6 +288,96 @@ class TestAnalyze:
             trace.values,
             rtol=1e-10,
         )
+
+
+def free_window(rng, alpha_range, count):
+    """Free-window traces of ``count`` samples on [0.3, 0.8) of seeded
+    two-mode problems, with their ``(M0, alpha0)`` priors."""
+    alpha = rng.uniform(*alpha_range)
+    coeffs = {
+        0: rng.uniform(0.05, 0.2) * rng.choice([-1.0, 1.0]),
+        1: rng.uniform(5.0, 15.0) * rng.choice([-1.0, 1.0]),
+    }
+    trace = sample(HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3), 0.3, 0.5 / count, count)
+    return trace, (15.0, 0.75 * alpha)
+
+
+class TestCompressedPath:
+    """Windows with L >= ``_COMPRESS_COLUMNS`` are solved on the triangular
+    factor R of ``Y = QR``; the direct path solves on Y itself."""
+
+    @staticmethod
+    def both_paths(trace, monkeypatch):
+        compressed = analyze(trace, 1e-10)
+        with monkeypatch.context() as m:
+            m.setattr(pencil, "_COMPRESS_COLUMNS", sys.maxsize)
+            direct = analyze(trace, 1e-10)
+        return compressed, direct
+
+    def test_matches_the_direct_hankel_svd(self, monkeypatch):
+        # alpha in [1, 2] keeps both modes within 1e-2 of each other in
+        # Y's spectrum, so the two paths' rounding differences stay near eps
+        rng = np.random.default_rng(7)
+        for _ in range(24):
+            count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
+            trace, (m0, alpha0) = free_window(rng, (1.0, 2.0), count)
+            compressed, direct = self.both_paths(trace, monkeypatch)
+            assert compressed.pencil_parameter >= pencil._COMPRESS_COLUMNS
+            assert compressed.order == direct.order == 2
+            np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(compressed.rates, direct.rates, rtol=1e-12, atol=0)
+            sigma = svdvals(build_hankel(trace))
+            np.testing.assert_allclose(
+                compressed.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0]
+            )
+            c_in = certificate_inputs(compressed, trace, m0, alpha0)
+            d_in = certificate_inputs(direct, trace, m0, alpha0)
+            assert c_in.sigma_m == pytest.approx(d_in.sigma_m, rel=1e-10)
+            assert c_in.y1_norm == pytest.approx(d_in.y1_norm, rel=1e-10)
+            for inputs in (c_in, d_in):
+                assert build_certificate(inputs).rho < 1.0
+                assert math.isfinite(inputs.kappa_xm)
+
+    def test_ill_conditioned_windows_differ_at_rounding_level(self, monkeypatch):
+        # alpha in [3, 8] puts sigma_M near 1e-10 sigma_1, where each path
+        # carries a rounding error of order eps * sigma_1 in sigma_M and
+        # eps * sigma_1 / sigma_M in the poles
+        rng = np.random.default_rng(8)
+        eps = np.finfo(float).eps
+        for _ in range(24):
+            count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
+            trace, (m0, alpha0) = free_window(rng, (3.0, 8.0), count)
+            compressed, direct = self.both_paths(trace, monkeypatch)
+            assert compressed.order == direct.order == 2
+            c_in = certificate_inputs(compressed, trace, m0, alpha0)
+            d_in = certificate_inputs(direct, trace, m0, alpha0)
+            sigma_1 = direct.singular_values[0]
+            assert abs(c_in.sigma_m - d_in.sigma_m) <= 1e3 * eps * sigma_1
+            assert np.max(np.abs(compressed.poles - direct.poles)) <= (
+                1e3 * eps * sigma_1 / d_in.sigma_m
+            )
+            assert c_in.y1_norm == pytest.approx(d_in.y1_norm, rel=1e-10)
+            for inputs in (c_in, d_in):
+                assert build_certificate(inputs).rho < 1.0
+                assert math.isfinite(inputs.kappa_xm)
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_block_rows_switch_at_the_constant(self, offset):
+        length = pencil._COMPRESS_COLUMNS + offset
+        count = 3 * length
+        trace = exp_trace([1.0, -0.5], [0.99, 0.9], count, t_start=1.0)
+        est = analyze(trace, 1e-10)
+        assert est.pencil_parameter == length
+        rows = count - length if length < pencil._COMPRESS_COLUMNS else length + 1
+        truncated = est.truncated_pencil
+        assert truncated.y0.shape == (rows, length)
+        assert truncated.y1.shape == (rows, length)
+        assert truncated.um.shape == (rows, 2)
+
+    def test_reference_windows_stay_direct(self):
+        # the published certificate depends on rounding, so its windows
+        # (L = 17 and 27) must keep the direct path
+        assert resolve_pencil_parameter(79) < pencil._COMPRESS_COLUMNS
 
 
 class TestShiftPencilIdentity:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,11 +314,30 @@ class TestGcvSelect:
         k, _, solution = gcv_select(matrix, b)
         assert solution.tobytes() == tsvd_solve(matrix, b, k).tobytes()
 
+    def test_one_sample_refused(self):
+        with pytest.raises(IdentificationError, match="got 1"):
+            gcv_select(np.ones((1, 3)), np.ones(1))
+
+    def test_overflowing_criterion_refused(self):
+        matrix = np.vander(np.linspace(0.1, 1.0, 8), 3)
+        with pytest.raises(IdentificationError, match=r"max \|y\| = 1e\+300"):
+            gcv_select(matrix, np.full(8, 1e300))
+
+    def test_curve_unchanged_near_the_overflow_edge(self):
+        # scaling by a power of two is exact, so the criterion scales by its
+        # square until it overflows
+        matrix = np.vander(np.linspace(0.1, 1.0, 8), 3)
+        rhs = np.random.default_rng(4).standard_normal(8)
+        _, curve, _ = gcv_select(matrix, rhs)
+        k, scaled, _ = gcv_select(matrix, rhs * 2.0**500)
+        assert scaled.tobytes() == (curve * 2.0**1000).tobytes()
+        assert k == int(np.argmin(curve)) + 1
+
 
 class TestFactorizationCounts:
     """LAPACK entry points one ``identify`` calls on the reference traces."""
 
-    KINDS = ("svd", "eig", "eigvals", "lstsq")
+    KINDS = ("svd", "eig", "eigvals", "lstsq", "qr")
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -348,6 +368,7 @@ class TestFactorizationCounts:
         assert counts["eig"] == 1
         assert counts["eigvals"] <= 3
         assert counts["lstsq"] == 2
+        assert counts["qr"] == 0
 
     def test_without_priors(self, counts):
         traces, cfg = self._reference_traces()
@@ -355,6 +376,15 @@ class TestFactorizationCounts:
         assert counts["svd"] <= 7
         assert counts["eig"] == 0
         assert counts["lstsq"] == 2
+        assert counts["qr"] == 0
+
+    def test_long_windows_factor_each_hankel_matrix_once(self, counts):
+        # 300/300/474 samples: L = 100, 100 and 158, each window compressed
+        # by one QR, and otherwise the reference's factorizations
+        traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
+        result = identify(*traces, None, reference.REFERENCE_PRIORS)
+        assert result.certificate is not None
+        assert counts == {"svd": 10, "eig": 1, "eigvals": 3, "lstsq": 2, "qr": 3}
 
 
 class TestIdentify:
@@ -412,6 +442,35 @@ class TestIdentify:
         result = identify(*traces, priors=(15.0, 3.0))
         assert result.certificate is None
         assert result.alpha_hat == bare.alpha_hat == pytest.approx(4.0, abs=1e-6)
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_free_or_step_window_under_nine_samples_is_a_pencil_error(self, window):
+        counts = [50, 50]
+        counts[window] = 8
+        traces = sample_windows(reference.reference_problem(), *counts, 0.01, 79)
+        with pytest.raises(pencil.ShortTraceError, match="got 8") as caught:
+            identify(*traces, None, reference.REFERENCE_PRIORS)
+        assert isinstance(caught.value, ValueError)
+
+    def test_short_reconstruction_window_falls_back_to_the_coarse_alpha(self):
+        # the refinement's pencil refuses 8 samples; cross-validation does not
+        traces = sample_windows(reference.reference_problem(), 50, 50, 0.01, 8)
+        result = identify(*traces)
+        assert result.alpha_candidates["reconstruction_window"] == {}
+        assert result.alpha_hat == result.alpha_candidates["index_assignment_median"]
+
+    def test_one_sample_reconstruction_window_refused(self):
+        traces = sample_windows(reference.reference_problem(), 50, 50, 0.01, 1)
+        with pytest.raises(IdentificationError, match="at least 2 reconstruction samples, got 1"):
+            identify(*traces, None, reference.REFERENCE_PRIORS)
+
+    def test_overflowing_reconstruction_trace_refused_without_a_warning(self):
+        free, step, rec = traces_for(reference.reference_problem())
+        big = SampleTrace(rec.t_start, rec.period, rec.values * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IdentificationError, match="overflows float64 at rank 1"):
+                identify(free, step, big, None, reference.REFERENCE_PRIORS)
 
     def test_rec_window_must_precede_switch(self):
         problem = HeatProblem(4.0, {0: 1.0}, 0.3, 0.8, 1.3)
