@@ -32,17 +32,13 @@ from .model import (
     TraceError,
     control_bracket,
     cosine_coefficients,
-    eigenvalue,
     evaluate_cosine_series,
-    free_response,
     load_problem,
-    observe,
     problem_from_function,
     read_trace_csv,
     sample,
     sample_windows,
     save_problem,
-    step_response,
     write_trace_csv,
 )
 from .pencil import (

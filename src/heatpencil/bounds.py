@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SampleTrace
+from .model import PI_SQ, SampleTrace
 from .pencil import PencilEstimate
 
-PI_SQ = math.pi**2
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -129,12 +128,19 @@ def decay_envelope(theta: float, l: int) -> float:
 
 
 def frobenius_bounds(inputs: BoundInputs) -> tuple[float, float]:
-    """Frobenius-norm bounds for the tail-induced perturbation of Y0 and Y1."""
+    """Frobenius-norm bounds for the tail-induced perturbation of Y0 and Y1.
+
+    A diffusivity prior so weak that the bounds leave float64 (alpha0 below
+    about 1e-155, where 1/theta squared overflows or theta underflows to 0)
+    gives +inf for both, which withholds the certificate as rho >= 1.
+    """
     theta = inputs.theta
+    try:
+        head = (1.0 + 1.0 / theta) ** 2
+    except (OverflowError, ZeroDivisionError):
+        return math.inf, math.inf
     prefactor = tail_bound(inputs.m0, inputs.alpha0, inputs.m, inputs.t1)
-    frob_y0 = prefactor * math.sqrt(
-        decay_envelope(theta, inputs.l) + (1.0 + 1.0 / theta) ** 2
-    )
+    frob_y0 = prefactor * math.sqrt(decay_envelope(theta, inputs.l) + head)
     frob_y1 = prefactor * math.sqrt(
         decay_envelope(theta, inputs.l + 1)
         + (1.0 / theta) * (1.0 + 1.0 / theta) * math.exp(-theta)
@@ -288,13 +294,14 @@ def build_certificate(
 
     The pole bound takes its special form when theta > 1/(l-1); the general
     form is always computed.  Raises when rho >= 1, where the derivation has
-    no force.  The diffusivity interval is populated only when an estimated
+    no force, and when rho is NaN (a zero norm prior times a tail prefactor
+    that overflowed).  The diffusivity interval is populated only when an estimated
     pole with a nonzero mode index (and the estimate itself) are supplied.
     """
     theta = inputs.theta
     frob_y0, frob_y1 = frobenius_bounds(inputs)
     rho = (inputs.y0_trunc_gap + frob_y0) / inputs.sigma_m
-    if rho >= 1.0:
+    if not rho < 1.0:
         raise CertificateUnavailableError(
             f"certificate unavailable (rho = {rho:.4g} >= 1)"
         )

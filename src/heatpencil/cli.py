@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError, model.QuadratureError) as exc:
+    except (InputError, OSError, ValueError, model.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (pipeline.IdentificationError, pencil.PencilError) as exc:

@@ -51,15 +51,6 @@ class TraceError(ValueError):
     """A trace is malformed: non-finite values or clock, too few rows, uneven times."""
 
 
-def eigenvalue(alpha: float, n: int) -> float:
-    """Decay rate of cosine mode ``n``: ``alpha * n**2 * pi**2``."""
-    if alpha <= 0:
-        raise ValueError(f"diffusivity must be positive, got {alpha}")
-    if n < 0:
-        raise ValueError(f"mode index must be nonnegative, got {n}")
-    return alpha * (n * n) * PI_SQ
-
-
 @dataclass(frozen=True)
 class HeatProblem:
     """Ground-truth problem instance.
@@ -287,49 +278,17 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
     return out.reshape(dt.shape)
 
 
-def _free_part(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
-    modes = np.fromiter(problem.u0_coeffs, dtype=float)
-    coeffs = np.fromiter(problem.u0_coeffs.values(), dtype=float)
-    return _exp_row_sums(t, problem.alpha * (modes * modes) * PI_SQ, coeffs)
-
-
 def _observation(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
     # the free series, plus the flux-step bracket from t2 on
-    values = _free_part(problem, t)
+    modes = np.fromiter(problem.u0_coeffs, dtype=float)
+    coeffs = np.fromiter(problem.u0_coeffs.values(), dtype=float)
+    values = _exp_row_sums(t, problem.alpha * (modes * modes) * PI_SQ, coeffs)
     after = t >= problem.t2
     if after.any():
         values[after] += problem.control_amplitude * control_bracket(
             problem.alpha, t[after] - problem.t2, problem.control_series_terms
         )
     return values
-
-
-def free_response(problem: HeatProblem, t: float) -> float:
-    """Boundary temperature at time ``t`` with the flux still off."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    return float(_free_part(problem, np.array([t], dtype=float))[0])
-
-
-def step_response(problem: HeatProblem, t: float) -> float:
-    """Boundary temperature at time ``t >= t2`` under the flux step.
-
-    The flux contribution is ``control_amplitude`` times
-    ``control_bracket(alpha, t - t2, control_series_terms)``; the bracket
-    vanishes identically at ``t = t2``.
-    """
-    if t < problem.t2:
-        raise ValueError(
-            f"step response is defined for t >= t2 = {problem.t2}, got t = {t}"
-        )
-    return observe(problem, t)
-
-
-def observe(problem: HeatProblem, t: float) -> float:
-    """Boundary temperature under the full flux schedule (zero before t2)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    return float(_observation(problem, np.array([t], dtype=float))[0])
 
 
 def sample(problem: HeatProblem, t_start: float, period: float, count: int) -> SampleTrace:

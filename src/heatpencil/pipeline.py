@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, pencil
-from .model import SampleTrace
-
-PI_SQ = math.pi**2
+from .model import PI_SQ, SampleTrace
 
 
 class IdentificationError(Exception):
@@ -105,20 +103,15 @@ def free_window_spectrum(
     return FreeSpectrum(rates=est.rates, coefficients=coeffs, estimate=est)
 
 
-def transform_step_window(
-    trace: SampleTrace, free: FreeSpectrum | None, t2: float
-) -> SampleTrace:
+def transform_step_window(trace: SampleTrace, free: FreeSpectrum | None) -> SampleTrace:
     """Remove the free response from the flux-step window and add the drift back.
 
-    The result is indexed by sample number (period 1): entry i equals
+    The trace's start time is the flux switch time.  The result is indexed
+    by sample number (period 1): entry i equals
     ``y(t_i) - sum_k C_k exp(-rate_k t_i) + period * i`` and is approximately
     a pure exponential sum with a constant term ``-1/(3 alpha)`` and terms
     ``(2 / lambda_n) exp(-lambda_n period * i)``.
     """
-    if abs(trace.t_start - t2) > 1e-12:
-        raise IdentificationError(
-            f"flux-step trace starts at {trace.t_start}, expected t2 = {t2}"
-        )
     i = np.arange(trace.values.size, dtype=float)
     transformed = trace.values + trace.period * i
     if free is not None and len(free):
@@ -145,7 +138,6 @@ class StepWindowResult:
 def alpha_from_step_window(
     trace: SampleTrace,
     free: FreeSpectrum | None,
-    t2: float,
     config: PipelineConfig | None = None,
 ) -> StepWindowResult:
     """Estimate the diffusivity from the transformed flux-step window.
@@ -160,7 +152,7 @@ def alpha_from_step_window(
     of all accepted estimates.
     """
     config = config or PipelineConfig()
-    transformed = transform_step_window(trace, free, t2)
+    transformed = transform_step_window(trace, free)
     est = pencil.analyze(transformed, config.epsilon)
     if est.order == 0:
         raise AlphaUnrecoverableError(
@@ -396,8 +388,7 @@ def identify(
     window and the reconstruction proceeds.
     """
     config = config or PipelineConfig()
-    t2 = trace_step.t_start
-    if not (0 < trace_rec.t_start < t2):
+    if not (0 < trace_rec.t_start < trace_step.t_start):
         raise IdentificationError(
             f"reconstruction window must start inside (0, t2), "
             f"got {trace_rec.t_start}"
@@ -407,7 +398,7 @@ def identify(
     except NoModesError:
         free = None
 
-    step = alpha_from_step_window(trace_step, free, t2, config)
+    step = alpha_from_step_window(trace_step, free, config)
 
     if free is not None:
         indices, alpha_by_index, alpha_step4 = assign_mode_indices(

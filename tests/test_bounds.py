@@ -205,6 +205,13 @@ class TestPoleErrorBound:
         with pytest.raises(CertificateUnavailableError, match="rho"):
             build_certificate(reference_inputs(sigma_m=1e-15))
 
+    @pytest.mark.parametrize("m0,alpha0,m", [(15.0, 1e-200, 2), (15.0, 5e-324, 1), (0.0, 1e-320, 2)])
+    def test_unavailable_under_a_weak_diffusivity_prior(self, m0, alpha0, m):
+        # 1/theta squared overflows, theta underflows to 0, or a zero norm
+        # prior meets an infinite tail prefactor (rho is NaN)
+        with pytest.raises(CertificateUnavailableError, match="rho"):
+            build_certificate(reference_inputs(m0=m0, alpha0=alpha0, m=m))
+
     def test_general_branch_when_theta_small(self):
         inputs = reference_inputs(ts=1e-4, sigma_m=1.0)  # theta ~ 0.024 < 1/16
         cert = build_certificate(inputs)

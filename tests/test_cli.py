@@ -10,7 +10,7 @@ import pytest
 
 from heatpencil import cli, model, reference
 from heatpencil.cli import main
-from heatpencil.model import HeatProblem, free_response, step_response
+from heatpencil.model import HeatProblem
 
 
 @pytest.fixture()
@@ -32,11 +32,15 @@ class TestSimulate:
     def test_traces_match_model(self, workspace):
         traces_dir = run_simulate(workspace)
         problem = reference.reference_problem()
+
+        def at(t):
+            return model.sample(problem, t, 1.0, 1).values[0]
+
         free = model.read_trace_csv(traces_dir / "free.csv")
-        assert free.values[0] == free_response(problem, 0.3)
+        assert free.values[0] == at(0.3)
         step = model.read_trace_csv(traces_dir / "step.csv")
-        assert step.values[0] == step_response(problem, 0.8)
-        assert step.values[10] == step_response(problem, 0.8 + 0.1)
+        assert step.values[0] == at(0.8)
+        assert step.values[10] == at(0.8 + 0.1)
         rec = model.read_trace_csv(traces_dir / "rec.csv")
         assert len(rec) == 79
         assert rec.t_start == 0.01
@@ -348,6 +352,25 @@ class TestBounds:
         assert rc == 3
         assert "certificate unavailable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha0", [1e-100, 1e-200, 1e-300, 1e-320])
+    def test_weak_diffusivity_prior_withholds_the_certificate(self, workspace, capsys, alpha0):
+        # a true but weak alpha0 makes the tail bounds exceed float64: both
+        # subcommands withhold the certificate
+        result = self._result_path(workspace)
+        weak = workspace / "weak.json"
+        weak.write_text(json.dumps({"M0": 15.0, "alpha0": alpha0}))
+        out = workspace / "weak_result.json"
+        capsys.readouterr()
+        rc = main(["identify", str(workspace / "traces"), str(weak), "--out", str(out)])
+        assert rc == 0
+        assert "certificate absent" in capsys.readouterr().out
+        assert json.loads(out.read_text())["certificate"] is None
+        rc = main(["bounds", str(result), str(weak), "--out", str(workspace / "cert.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: certificate unavailable (rho = ") and err.count("\n") == 1
+        assert not (workspace / "cert.json").exists()
+
     def test_priors_without_fields(self, workspace, capsys):
         result = self._result_path(workspace)
         (workspace / "empty.json").write_text("{}")
@@ -390,6 +413,31 @@ def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, na
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("role", ["priors", "result", "problem", "trace"])
+def test_directory_in_place_of_a_file_exits_two_naming_it(workspace, capsys, role):
+    traces_dir = run_simulate(workspace)
+    folder = workspace / "folder"
+    folder.mkdir()
+    if role == "priors":
+        argv = ["identify", str(traces_dir), str(folder), "--out", str(workspace / "r.json")]
+    elif role == "result":
+        argv = ["bounds", str(folder), str(workspace / "priors.json"),
+                "--out", str(workspace / "cert.json")]
+    elif role == "problem":
+        argv = ["simulate", str(folder), "--out", str(workspace / "traces2")]
+    else:
+        (traces_dir / "free.csv").unlink()
+        folder = traces_dir / "free.csv"
+        folder.mkdir()
+        argv = ["identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(folder) in err
 
 
 class TestReproduction:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -15,15 +16,11 @@ from heatpencil.model import (
     TraceError,
     control_bracket,
     cosine_coefficients,
-    eigenvalue,
     evaluate_cosine_series,
-    free_response,
-    observe,
     problem_from_function,
     read_trace_csv,
     sample,
     sample_windows,
-    step_response,
     write_trace_csv,
 )
 
@@ -50,28 +47,40 @@ def make_problem(alpha=4.0, coeffs=None, **kw):
     return HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3, **kw)
 
 
+def at(problem, t):
+    """The observation at the instant ``t``: a one-sample window."""
+    return sample(problem, t, 1.0, 1).values[0]
+
+
+def free_at(problem, t):
+    """The observation at ``t`` with the flux never switched on."""
+    return at(dataclasses.replace(problem, control_amplitude=0.0), t)
+
+
+def decay_rate(alpha, n, period):
+    """The rate of cosine mode ``n``, read off two samples of its free response."""
+    y = sample(make_problem(alpha, {n: 1.0}, control_amplitude=0.0), period, period, 2).values
+    return -math.log(y[1] / y[0]) / period
+
+
 class TestEigenvalue:
     def test_mode_zero_is_zero(self):
-        assert eigenvalue(4.0, 0) == 0.0
+        assert decay_rate(4.0, 0, 0.01) == 0.0
 
     def test_published_values(self):
         # 100 * rate at alpha=4, period 0.01: 39.4784 and 157.9137
-        assert abs(eigenvalue(4.0, 1) - 39.4784) < 5e-5
-        assert abs(eigenvalue(4.0, 2) - 157.9137) < 5e-5
+        assert abs(decay_rate(4.0, 1, 0.01) - 39.4784) < 5e-5
+        assert abs(decay_rate(4.0, 2, 0.01) - 157.9137) < 5e-5
 
     def test_quadratic_ratio(self):
+        # each mode is sampled on its own time scale, where its two samples
+        # differ by a factor exp(-pi**2)
         rng = np.random.default_rng(3)
         for _ in range(20):
             alpha = rng.uniform(0.1, 20)
             n = int(rng.integers(1, 40))
-            ratio = eigenvalue(alpha, n) / eigenvalue(alpha, 1)
+            ratio = decay_rate(alpha, n, 1 / (alpha * n * n)) / decay_rate(alpha, 1, 1 / alpha)
             assert ratio == pytest.approx(n * n, rel=1e-14)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            eigenvalue(-1.0, 1)
-        with pytest.raises(ValueError):
-            eigenvalue(1.0, -1)
 
 
 class TestCosineCoefficients:
@@ -137,11 +146,11 @@ class TestFreeResponse:
     def test_constant_mode(self):
         problem = make_problem(coeffs={0: 0.5})
         for t in (0.1, 0.5, 3.0):
-            assert free_response(problem, t) == 0.5
+            assert free_at(problem, t) == 0.5
 
     def test_single_mode_decays_to_zero(self):
         problem = make_problem(coeffs={1: -9.4053})
-        values = [free_response(problem, t) for t in (0.1, 0.5, 1.0, 5.0)]
+        values = [free_at(problem, t) for t in (0.1, 0.5, 1.0, 5.0)]
         assert all(abs(b) < abs(a) for a, b in zip(values, values[1:]))
         assert abs(values[-1]) < 1e-60
 
@@ -154,7 +163,7 @@ class TestFreeResponse:
         expected = 0.0
         for n, c in sorted(problem.u0_coeffs.items()):
             expected += c * math.exp(-4.0 * n * n * PI**2 * t)
-        assert free_response(problem, t) == pytest.approx(expected, rel=1e-13)
+        assert free_at(problem, t) == pytest.approx(expected, rel=1e-13)
 
     def test_strictly_decreasing_for_positive_modes(self):
         rng = np.random.default_rng(11)
@@ -165,12 +174,12 @@ class TestFreeResponse:
             problem = make_problem(alpha=alpha, coeffs=coeffs)
             # stay where the decaying part is above rounding of the constant
             ts = np.sort(rng.uniform(0.01, 1.2 / alpha, 8))
-            vals = [free_response(problem, t) for t in ts]
+            vals = [free_at(problem, t) for t in ts]
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            free_response(make_problem(), 0.0)
+            sample(make_problem(), 0.0, 0.01, 1)
 
 
 def heat_kernel_at_origin(alpha, s):
@@ -189,14 +198,14 @@ def heat_kernel_at_origin(alpha, s):
 class TestStepResponse:
     def test_continuous_at_switch_time(self):
         problem = make_problem()
-        assert step_response(problem, problem.t2) == free_response(problem, problem.t2)
+        assert at(problem, problem.t2) == free_at(problem, problem.t2)
 
     def test_constant_term_value(self):
         # the long-time offset of the flux bracket is -1/(3 alpha) = -0.0833...
         problem = make_problem(coeffs={})
         dt = 2.0
         drift = -1.0 / (3 * 4.0) - dt
-        assert step_response(problem, problem.t2 + dt) == pytest.approx(drift, abs=1e-10)
+        assert at(problem, problem.t2 + dt) == pytest.approx(drift, abs=1e-10)
 
     @pytest.mark.parametrize("dt", [0.033, 0.5])
     def test_against_kernel_quadrature(self, dt):
@@ -213,28 +222,19 @@ class TestStepResponse:
             epsrel=1e-13,
         )
         assert err < 1e-10
-        assert step_response(problem, problem.t2 + dt) == pytest.approx(
-            -integral, abs=1e-10
-        )
+        assert at(problem, problem.t2 + dt) == pytest.approx(-integral, abs=1e-10)
 
     def test_amplitude_scaling(self):
         base = make_problem(coeffs={})
         doubled = make_problem(coeffs={}, control_amplitude=2.0)
         t = base.t2 + 0.2
-        assert step_response(doubled, t) == pytest.approx(
-            2 * step_response(base, t), rel=1e-14
-        )
-
-    def test_rejects_time_before_switch(self):
-        problem = make_problem()
-        with pytest.raises(ValueError):
-            step_response(problem, problem.t2 - 1e-9)
+        assert at(doubled, t) == pytest.approx(2 * at(base, t), rel=1e-14)
 
     def test_truncated_series_differs_from_exact(self):
         exact = make_problem(coeffs={})
         capped = make_problem(coeffs={}, control_series_terms=200)
         t = exact.t2  # at the switch time the truncation is most visible
-        gap = step_response(capped, t) - step_response(exact, t)
+        gap = at(capped, t) - at(exact, t)
         # missing tail is about -2/(alpha pi^2) * 1/200
         assert gap == pytest.approx(-2 / (4 * PI**2 * 200), rel=0.02)
 
@@ -244,23 +244,22 @@ class TestSample:
         problem = make_problem()
         trace = sample(problem, 0.4, 0.01, 1)
         assert len(trace) == 1
-        assert trace.values[0] == free_response(problem, 0.4)
+        assert trace.values[0] == free_at(problem, 0.4)
 
     def test_matches_pointwise_ops(self):
         problem = make_problem()
         trace = sample(problem, 0.75, 0.01, 20)  # spans the switch at 0.8
         for i, t in enumerate(trace.times):
-            expected = (
-                free_response(problem, t) if t < problem.t2 else step_response(problem, t)
-            )
+            expected = free_at(problem, t) if t < problem.t2 else at(problem, t)
             assert trace.values[i] == expected
 
     def test_observe_switches_at_t2(self):
         problem = make_problem()
-        assert observe(problem, problem.t2 - 1e-6) == free_response(
-            problem, problem.t2 - 1e-6
+        before, after = problem.t2 - 1e-6, problem.t2 + 1e-6
+        assert at(problem, before) == free_at(problem, before)
+        assert at(problem, after) - free_at(problem, after) == pytest.approx(
+            control_bracket(problem.alpha, after - problem.t2), rel=1e-9
         )
-        assert observe(problem, problem.t2) == step_response(problem, problem.t2)
 
     def test_validation(self):
         problem = make_problem()
@@ -308,7 +307,7 @@ class TestSeriesLayer:
             trace = sample(problem, t_start, period, 60)
             assert trace.times[-1] > problem.t2
             for t, y in zip(trace.times, trace.values):
-                assert y == observe(problem, t)
+                assert y == at(problem, t)
 
     def test_bracket_vector_is_its_scalar_calls(self):
         dt = np.concatenate([[0.0, 1e-12, 1e-9], np.linspace(0.0, 0.5, 37)])

@@ -99,7 +99,7 @@ class TestTransformStepWindow:
         problem = HeatProblem(alpha, {0: 0.5, 1: -9.4053}, 0.3, 0.8, 1.3)
         trace_free, trace_step, _ = traces_for(problem)
         free = free_window_spectrum(trace_free)
-        transformed = transform_step_window(trace_step, free, problem.t2)
+        transformed = transform_step_window(trace_step, free)
         i = np.arange(len(transformed), dtype=float)
         expected = np.full_like(i, -1.0 / (3 * alpha))
         for n in range(1, 400):
@@ -115,17 +115,11 @@ class TestTransformStepWindow:
     def test_zero_modes_zero_profile(self):
         problem = HeatProblem(4.0, {}, 0.3, 0.8, 1.3)
         _, trace_step, _ = traces_for(problem)
-        transformed = transform_step_window(trace_step, None, problem.t2)
+        transformed = transform_step_window(trace_step, None)
         i = np.arange(len(transformed))
         np.testing.assert_array_equal(
             transformed.values, trace_step.values + trace_step.period * i
         )
-
-    def test_window_mismatch_rejected(self):
-        problem = HeatProblem(4.0, {0: 1.0}, 0.3, 0.8, 1.3)
-        _, trace_step, _ = traces_for(problem)
-        with pytest.raises(IdentificationError, match="expected t2"):
-            transform_step_window(trace_step, None, 0.75)
 
 
 class TestAlphaFromStepWindow:
@@ -133,7 +127,7 @@ class TestAlphaFromStepWindow:
         problem = HeatProblem(1.0, {0: 1.0, 1: 0.5}, 0.3, 0.8, 1.3)
         trace_free, trace_step, _ = traces_for(problem)
         free = free_window_spectrum(trace_free)
-        step = alpha_from_step_window(trace_step, free, problem.t2)
+        step = alpha_from_step_window(trace_step, free)
         assert step.alpha == pytest.approx(1.0, abs=1e-6)
         # slow decay at alpha=1 makes many modes detectable; the weakest that
         # still pass the credibility filter carry errors near 1e-4
@@ -148,7 +142,7 @@ class TestAlphaFromStepWindow:
         values = 5.0 * 0.3**i - 0.01 * i
         trace = SampleTrace(t_start=0.8, period=0.01, values=values)
         with pytest.raises(AlphaUnrecoverableError):
-            alpha_from_step_window(trace, None, 0.8)
+            alpha_from_step_window(trace, None)
 
 
 class TestAssignModeIndices:
