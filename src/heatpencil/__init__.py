@@ -66,4 +66,17 @@ from .pipeline import (
     tsvd_solve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundInputs", "CertificateUnavailableError", "ErrorCertificate",
+    "alpha_error_bound", "build_certificate", "certificate_inputs", "condition_number",
+    "decay_envelope", "frobenius_bounds", "tail_bound", "HeatProblem",
+    "QuadratureError", "SampleTrace", "TraceError", "control_bracket",
+    "cosine_coefficients", "evaluate_cosine_series", "load_problem",
+    "problem_from_function", "read_trace_csv", "sample", "sample_windows",
+    "save_problem", "write_trace_csv", "PencilError", "PencilEstimate", "analyze",
+    "build_hankel", "detect_order", "estimate_poles", "fit_amplitudes",
+    "poles_to_rates", "IdentificationError", "IdentificationResult", "NoModesError",
+    "PipelineConfig", "alpha_from_step_window", "assign_mode_indices",
+    "build_design_matrix", "free_window_spectrum", "gcv_select", "identify",
+    "transform_step_window", "tsvd_solve",
+]

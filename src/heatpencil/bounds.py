@@ -28,10 +28,6 @@ class CertificateUnavailableError(RuntimeError):
     """The bounds' premises fail: rho >= 1, 9 samples or fewer, or no signal."""
 
 
-class DefectiveEigenbasisError(RuntimeError):
-    """The eigenvector matrix is numerically singular."""
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """A priori data plus pencil diagnostics feeding the certificate.
@@ -134,18 +130,25 @@ def frobenius_bounds(inputs: BoundInputs) -> tuple[float, float]:
     about 1e-155, where 1/theta squared overflows or theta underflows to 0)
     gives +inf for both, which withholds the certificate as rho >= 1.
     """
+    return _frobenius_terms(inputs)[2:]
+
+
+def _frobenius_terms(inputs: BoundInputs) -> tuple[float, float, float, float]:
+    """The decay envelope at l and the tail bound at t1 (NaN where the bounds
+    leave float64), then both bounds, each evaluated once per certificate."""
     theta = inputs.theta
     try:
         head = (1.0 + 1.0 / theta) ** 2
     except (OverflowError, ZeroDivisionError):
-        return math.inf, math.inf
+        return math.nan, math.nan, math.inf, math.inf
     prefactor = tail_bound(inputs.m0, inputs.alpha0, inputs.m, inputs.t1)
-    frob_y0 = prefactor * math.sqrt(decay_envelope(theta, inputs.l) + head)
+    envelope = decay_envelope(theta, inputs.l)
+    frob_y0 = prefactor * math.sqrt(envelope + head)
     frob_y1 = prefactor * math.sqrt(
         decay_envelope(theta, inputs.l + 1)
         + (1.0 / theta) * (1.0 + 1.0 / theta) * math.exp(-theta)
     )
-    return frob_y0, frob_y1
+    return envelope, prefactor, frob_y0, frob_y1
 
 
 def alpha_error_bound(
@@ -179,15 +182,14 @@ def alpha_error_bound(
 
 
 def condition_number(x: np.ndarray) -> float:
-    """Spectral condition number sigma_max / sigma_min of a square matrix."""
+    """Spectral condition number sigma_max / sigma_min of a square matrix,
+    +inf when it is numerically singular (sigma_min <= 1e3 eps sigma_max)."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[-1] <= 1e3 * np.finfo(float).eps * sv[0]:
-        raise DefectiveEigenbasisError(
-            "eigenvector matrix is numerically singular (defective pencil)"
-        )
+        return math.inf
     return float(sv[0] / sv[-1])
 
 
@@ -219,10 +221,7 @@ def certificate_inputs(
     gap = float(np.linalg.norm((um * a) @ vm.T - pencil.y0, 2))
     # Eigenvector matrix of the full (L x L) truncated product, unit columns.
     _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
-    try:
-        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
-    except DefectiveEigenbasisError:
-        kappa = math.inf
+    kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
         t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),
@@ -299,7 +298,7 @@ def build_certificate(
     pole with a nonzero mode index (and the estimate itself) are supplied.
     """
     theta = inputs.theta
-    frob_y0, frob_y1 = frobenius_bounds(inputs)
+    envelope, tail_t1, frob_y0, frob_y1 = _frobenius_terms(inputs)
     rho = (inputs.y0_trunc_gap + frob_y0) / inputs.sigma_m
     if not rho < 1.0:
         raise CertificateUnavailableError(
@@ -319,8 +318,8 @@ def build_certificate(
     return ErrorCertificate(
         inputs=inputs,
         theta=theta,
-        decay_envelope=decay_envelope(theta, inputs.l),
-        tail_bound_t1=tail_bound(inputs.m0, inputs.alpha0, inputs.m, inputs.t1),
+        decay_envelope=envelope,
+        tail_bound_t1=tail_t1,
         frob_y0=frob_y0,
         frob_y1=frob_y1,
         rho=rho,

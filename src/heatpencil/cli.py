@@ -57,8 +57,7 @@ def _number(data: dict, name: str, where: str, kind=float):
 
 def _load_priors(path: Path) -> tuple[float, float]:
     data = _load_json(path)
-    m0_name = "m0" if "m0" in data and "M0" not in data else "M0"
-    return _number(data, m0_name, str(path)), _number(data, "alpha0", str(path))
+    return _number(data, "M0", str(path)), _number(data, "alpha0", str(path))
 
 
 def _write_manifest(

@@ -39,6 +39,9 @@ _EXP_ZERO = -746.0
 
 _QUAD_NODES = 16  # Gauss-Legendre nodes per panel
 _QUAD_MAX_PANELS = 2**14
+# Quadrature converges when successive panel doublings agree within this for
+# every coefficient; coefficients below it are indistinguishable from zero.
+_QUAD_TOL = 1e-10
 
 _CSV_BLOCK_ROWS = 2**16  # trace rows formatted per write; bounds the text held
 
@@ -155,9 +158,7 @@ def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:
     return total if total.ndim else float(total)
 
 
-def cosine_coefficients(
-    u0: Callable[[float], float], n_max: int, tol: float = 1e-10
-) -> dict[int, float]:
+def cosine_coefficients(u0: Callable[[float], float], n_max: int) -> dict[int, float]:
     """Cosine expansion coefficients of a user-supplied profile on [0, 1].
 
     Entry 0 is the plain integral of ``u0``; entry n >= 1 is twice the
@@ -165,7 +166,7 @@ def cosine_coefficients(
     serves every coefficient: ``u0`` is evaluated once per node (on the node
     array when it accepts one) and enters one cosine-matrix product.  The
     panel count doubles from one until two successive estimates agree within
-    ``tol`` for every coefficient, and the finer one is returned.
+    ``_QUAD_TOL`` for every coefficient, and the finer one is returned.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -186,7 +187,7 @@ def cosine_coefficients(
         for s in range(0, x.size, step):
             estimate += np.cos(np.outer(freqs, x[s:s + step])) @ weighted[s:s + step]
         estimate[1:] *= 2.0
-        if previous is not None and np.all(np.abs(estimate - previous) <= tol):
+        if previous is not None and np.all(np.abs(estimate - previous) <= _QUAD_TOL):
             return {n: float(c) for n, c in enumerate(estimate)}
         previous, panels = estimate, 2 * panels
     raise QuadratureError(f"quadrature did not converge within {_QUAD_MAX_PANELS} panels")
@@ -199,17 +200,15 @@ def problem_from_function(
     t2: float,
     t3: float,
     n_max: int = 40,
-    control_amplitude: float = 1.0,
-    quad_tol: float = 1e-10,
 ) -> HeatProblem:
-    """Build a problem whose initial profile is given as a function.
+    """Build a unit-flux-step problem whose initial profile is given as a function.
 
     Coefficients smaller in magnitude than the quadrature tolerance are
     indistinguishable from zero and are dropped.
     """
-    coeffs = cosine_coefficients(u0, n_max, tol=quad_tol)
-    coeffs = {n: c for n, c in coeffs.items() if abs(c) >= quad_tol}
-    return HeatProblem(alpha, coeffs, t1, t2, t3, control_amplitude)
+    coeffs = cosine_coefficients(u0, n_max)
+    coeffs = {n: c for n, c in coeffs.items() if abs(c) >= _QUAD_TOL}
+    return HeatProblem(alpha, coeffs, t1, t2, t3)
 
 
 def _exp_row_sums(
@@ -389,7 +388,8 @@ def write_trace_csv(path: str | Path, trace: SampleTrace) -> None:
 
 def read_trace_csv(path: str | Path) -> SampleTrace:
     """Read a ``t,y`` trace.  ``TraceError`` names the line of a row that is
-    not two finite numbers; fewer than two rows or uneven times are refused."""
+    not two finite numbers; fewer than two rows, times that do not increase
+    and uneven times are refused, naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if [h.strip() for h in next(reader, [])] != ["t", "y"]:
@@ -407,6 +407,8 @@ def read_trace_csv(path: str | Path) -> SampleTrace:
         raise TraceError(f"{path}: {len(rows)} row(s); a trace needs two to fix its period")
     times, values = np.array(rows).T
     periods = np.diff(times)
+    if periods[0] <= 0:
+        raise TraceError(f"{path}: sample times must increase, got period {periods[0]:g}")
     if np.any(np.abs(periods - periods[0]) > 1e-9 * max(1.0, abs(periods[0]))):
         raise TraceError(f"{path}: sample times are not uniformly spaced")
     return SampleTrace(t_start=float(times[0]), period=float(periods[0]), values=values)

@@ -41,6 +41,9 @@ _ZERO_RATE_TOL = 1e-12
 # 27), whose certificate is rounding-dependent, stay on the direct path bit
 # for bit.
 _COMPRESS_COLUMNS = 48
+# Singular values at or above this fraction of the largest count toward the
+# model order: the paper's cutoff, used for every published value.
+_EPSILON = 1e-10
 
 
 class PencilError(Exception):
@@ -219,12 +222,12 @@ class PencilEstimate:
     sample_count: int
 
 
-def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
+def analyze(trace: SampleTrace) -> PencilEstimate:
     """Run the estimator: order detection, poles, rates in ascending order.
 
-    ``epsilon`` is the relative singular-value cutoff for order detection,
-    in (0, 1).  One SVD of Y gives both the detected order and the reported
-    spectrum; one SVD of Y0 gives the poles.  When L is at least
+    The order counts singular values of Y at or above ``_EPSILON`` relative
+    to the largest.  One SVD of Y gives both the detected order and the
+    reported spectrum; one SVD of Y0 gives the poles.  When L is at least
     ``_COMPRESS_COLUMNS``, Y is first reduced to the triangular factor R of
     one QR, and both SVDs run on R's L+1 rows.  Complex eigenvalue pairs and
     poles outside (0, 1 + 1e-9] are discarded with a warning, reducing the
@@ -232,14 +235,12 @@ def analyze(trace: SampleTrace, epsilon: float) -> PencilEstimate:
     constant mode).  An order detected on Y beyond the L columns of Y0
     raises :class:`RankDeficiencyError`.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"singular threshold must lie in (0, 1), got {epsilon}")
     y = build_hankel(trace)
     length = y.shape[1] - 1
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
     sigma_y = np.linalg.svd(y, compute_uv=False)
-    order = detect_order(sigma_y, epsilon)
+    order = detect_order(sigma_y, _EPSILON)
     if order > length:
         raise RankDeficiencyError(
             f"order {order} detected on Y exceeds the {length} columns of Y0"

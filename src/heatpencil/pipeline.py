@@ -45,33 +45,25 @@ class ModeIndexRangeError(IdentificationError):
 
 # The largest mode index n whose n * n fits in int64.
 _MAX_MODE_INDEX = math.isqrt(np.iinfo(np.int64).max)
+# Relative tolerance of the controlled-window credibility test: it accepts
+# exactly the reference problem's two clean pairs and rejects the third pair,
+# which is 0.7% off.
+_CREDIBILITY_TOL = 0.005
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The three estimator parameters of :func:`identify`.
-
-    ``epsilon`` is the relative singular-value cutoff for the pencil's order
-    detection, in (0, 1); :func:`pencil.analyze` checks it.  ``m_tilde`` is
-    the number of cosine modes of the reconstructed initial profile.
-    ``credibility_tol`` is the relative tolerance for accepting a
-    controlled-window mode pair as carrying the drift structure; the default
-    0.005 accepts exactly the two clean pairs on the reference problem while
-    rejecting the 0.7%-off third pair.  The sampling schedule is not
-    configuration: it is whatever the traces carry.
+    """The estimator parameter of :func:`identify`: ``m_tilde``, the number
+    of cosine modes of the reconstructed initial profile.  The pencil's
+    singular-value cutoff and the credibility tolerance are module constants;
+    the sampling schedule is whatever the traces carry.
     """
 
-    epsilon: float = 1e-10
     m_tilde: int = 20
-    credibility_tol: float = 0.005
 
     def __post_init__(self) -> None:
         if self.m_tilde < 1:
             raise ValueError("reconstruction order must be at least 1")
-        if not 0 < self.credibility_tol < math.inf:
-            raise ValueError(
-                f"credibility tolerance must be positive and finite, got {self.credibility_tol}"
-            )
 
 
 @dataclass(frozen=True)
@@ -86,17 +78,14 @@ class FreeSpectrum:
         return self.rates.size
 
 
-def free_window_spectrum(
-    trace: SampleTrace, config: PipelineConfig | None = None
-) -> FreeSpectrum:
+def free_window_spectrum(trace: SampleTrace) -> FreeSpectrum:
     """Estimate rates and absolute-time coefficients on the flux-free window.
 
     Rates come from the pencil poles; :func:`pencil.fit_amplitudes` fits the
     coefficients against exp(-rate * t) on the trace's absolute times, so a
     clamped zero rate keeps its constant coefficient.
     """
-    config = config or PipelineConfig()
-    est = pencil.analyze(trace, config.epsilon)
+    est = pencil.analyze(trace)
     if est.order == 0:
         raise NoModesError("no detectable modes in the flux-free window")
     coeffs = pencil.fit_amplitudes(trace, est.rates)
@@ -136,9 +125,7 @@ class StepWindowResult:
 
 
 def alpha_from_step_window(
-    trace: SampleTrace,
-    free: FreeSpectrum | None,
-    config: PipelineConfig | None = None,
+    trace: SampleTrace, free: FreeSpectrum | None
 ) -> StepWindowResult:
     """Estimate the diffusivity from the transformed flux-step window.
 
@@ -146,14 +133,13 @@ def alpha_from_step_window(
     state, so in the pencil's ascending rate order the position j of a mode
     is its index.
     A pair (C'_j, rate'_j) is credible when C'_j * rate'_j is within
-    ``credibility_tol`` (relative) of twice the sampling period; each
+    ``_CREDIBILITY_TOL`` (relative) of twice the sampling period; each
     credible pair gives alpha = rate'_j / (j^2 pi^2 period).  The constant
     term gives an independent estimate -1/(3 C'_0).  The result is the median
     of all accepted estimates.
     """
-    config = config or PipelineConfig()
     transformed = transform_step_window(trace, free)
-    est = pencil.analyze(transformed, config.epsilon)
+    est = pencil.analyze(transformed)
     if est.order == 0:
         raise AlphaUnrecoverableError(
             "no detectable modes in the transformed flux-step window"
@@ -167,7 +153,7 @@ def alpha_from_step_window(
     accepted = []
     for j in range(1, rates.size):
         credibility[j] = abs(coeffs[j] * rates[j] / target - 1.0)
-        if credibility[j] <= config.credibility_tol:
+        if credibility[j] <= _CREDIBILITY_TOL:
             estimate = rates[j] / (j * j * PI_SQ * trace.period)
             if estimate > 0:
                 alpha_by_index[j] = estimate
@@ -232,7 +218,7 @@ def assign_mode_indices(
 
 
 def refine_alpha_from_trace(
-    trace: SampleTrace, alpha_coarse: float, config: PipelineConfig | None = None
+    trace: SampleTrace, alpha_coarse: float
 ) -> tuple[float, dict[int, float]]:
     """Sharpen alpha with a pencil pass over the reconstruction window.
 
@@ -248,9 +234,8 @@ def refine_alpha_from_trace(
     amplifies any design-matrix mismatch by the inverse of the smallest
     retained singular value.
     """
-    config = config or PipelineConfig()
     try:
-        est = pencil.analyze(trace, config.epsilon)
+        est = pencil.analyze(trace)
     except (pencil.PencilError, ValueError):
         return alpha_coarse, {}
     candidates: dict[int, float] = {}
@@ -394,11 +379,11 @@ def identify(
             f"got {trace_rec.t_start}"
         )
     try:
-        free = free_window_spectrum(trace_free, config)
+        free = free_window_spectrum(trace_free)
     except NoModesError:
         free = None
 
-    step = alpha_from_step_window(trace_step, free, config)
+    step = alpha_from_step_window(trace_step, free)
 
     if free is not None:
         indices, alpha_by_index, alpha_step4 = assign_mode_indices(
@@ -412,7 +397,7 @@ def identify(
         alpha_by_index, alpha_step4 = {}, step.alpha
         free_modes = ()
 
-    alpha_hat, alpha_rec = refine_alpha_from_trace(trace_rec, alpha_step4, config)
+    alpha_hat, alpha_rec = refine_alpha_from_trace(trace_rec, alpha_step4)
 
     design = build_design_matrix(alpha_hat, trace_rec.times, config.m_tilde)
     gcv_k, gcv_curve, u0_hat = gcv_select(design, trace_rec.values)

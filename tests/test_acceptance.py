@@ -21,7 +21,6 @@ from heatpencil import bounds, model, pencil, pipeline, reference
 from heatpencil.model import HeatProblem, sample
 
 PI_SQ = math.pi**2
-EPSILON = pipeline.PipelineConfig().epsilon
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -37,7 +36,7 @@ def reference_run():
     start = time.perf_counter()
     trace_free = sample(problem, t1, (t2 - t1) / n1, n1)
     step1_start = time.perf_counter()
-    free = pipeline.free_window_spectrum(trace_free, cfg)
+    free = pipeline.free_window_spectrum(trace_free)
     step1_seconds = time.perf_counter() - step1_start
     trace_step = sample(problem, t2, (t3 - t2) / n2, n2)
     trace_rec = sample(problem, t0, (t2 - t0) / n_rec, n_rec)
@@ -171,7 +170,7 @@ class TestCriterion5ExactRecovery:
             n = int(rng.integers(30, 61))
             k = np.arange(n)
             values = (amps[None, :] * poles[None, :] ** k[:, None]).sum(axis=1)
-            est = pencil.analyze(model.SampleTrace(0.0, 1.0, values), EPSILON)
+            est = pencil.analyze(model.SampleTrace(0.0, 1.0, values))
             assert est.order == m, f"order {est.order} != {m} for poles {poles}"
             rel = np.max(np.abs(est.poles - poles) / poles)
             worst_pole = max(worst_pole, rel)
@@ -196,7 +195,7 @@ class TestCriterion6CertificateDominance:
             }
             problem = HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3)
             trace = sample(problem, 0.3, 0.01, 50)
-            est = pencil.analyze(trace, EPSILON)
+            est = pencil.analyze(trace)
             assert est.order == 2
             inputs = bounds.certificate_inputs(est, trace, m0, alpha0)
             assert (inputs.t1, inputs.ts) == (0.3, 0.01)

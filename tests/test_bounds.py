@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from heatpencil.bounds import (
     BoundInputs,
     CertificateUnavailableError,
-    DefectiveEigenbasisError,
     alpha_error_bound,
     build_certificate,
     certificate_inputs,
@@ -233,7 +233,7 @@ def svdvals(matrix):
 class TestCertificateInputs:
     def test_spectral_quantities_of_the_pole_solve(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         pencil = est.truncated_pencil
         inputs = certificate_inputs(est, trace, 15.0, 3.0)
         sigma_y0 = svdvals(pencil.y0)
@@ -251,7 +251,7 @@ class TestCertificateInputs:
         k = np.arange(30)
         trace = SampleTrace(1.0, 1.0, 1.0 + 0.9**k * np.cos(1.1 * k))
         with pytest.warns(UserWarning, match="complex"):
-            est = analyze(trace, 1e-10)
+            est = analyze(trace)
         assert est.order == 1
         assert est.truncated_pencil.sv.size == 3
         inputs = certificate_inputs(est, trace, 1.0, 1.0)
@@ -274,11 +274,11 @@ class TestCertificateInputs:
     def test_nine_samples_withhold_the_certificate(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 9)
         with pytest.raises(CertificateUnavailableError, match="more than 9 samples, got 9"):
-            certificate_inputs(analyze(trace, 1e-10), trace, 1.0, 1.0)
+            certificate_inputs(analyze(trace), trace, 1.0, 1.0)
 
     def test_no_signal_withholds_the_certificate(self):
         trace = SampleTrace(1.0, 1.0, np.zeros(12))
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         with pytest.raises(CertificateUnavailableError, match="no signal"):
             certificate_inputs(est, trace, 1.0, 1.0)
 
@@ -325,8 +325,7 @@ class TestConditionNumber:
         assert condition_number(rot) == pytest.approx(1.0, rel=1e-12)
 
     def test_defective_matrix_rejected(self):
-        with pytest.raises(DefectiveEigenbasisError):
-            condition_number(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert condition_number(np.array([[1.0, 1.0], [1.0, 1.0]])) == math.inf
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -416,6 +415,23 @@ class TestCertificate:
         cert = build_certificate(reference_inputs(), alpha_hat=4.0)
         assert cert.alpha_interval is None
         assert cert.pole_bound > 0
+
+    def test_breakpoint_warning_issued_once(self):
+        # theta = 1/16 sits on the envelope breakpoint 1/(l-1) of l = 17
+        inputs = reference_inputs(
+            m0=1e-9, alpha0=(1 / 16) / (2 * PI_SQ * 0.01), m=1, sigma_m=1.0,
+            y1_norm=1.0, y0_trunc_gap=0.0, kappa_xm=2.0,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cert = build_certificate(inputs)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "breakpoint" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cert.decay_envelope == decay_envelope(inputs.theta, 17)
+            assert (cert.frob_y0, cert.frob_y1) == frobenius_bounds(inputs)
+        assert cert.tail_bound_t1 == tail_bound(1e-9, inputs.alpha0, 1, 0.3)
 
     def test_bitwise_reproducible(self):
         a = build_certificate(reference_inputs(), 4.0, 0.6738, 1)

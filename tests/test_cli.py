@@ -219,6 +219,21 @@ class TestIdentify:
         assert err.count("\n") == 1
         assert "free.csv, line 6: " in err and "not two finite numbers" in err
 
+    def test_reversed_trace_names_the_file(self, workspace, capsys):
+        traces_dir = run_simulate(workspace)
+        header, *rows = (traces_dir / "free.csv").read_text().splitlines()
+        (traces_dir / "free.csv").write_text("\n".join([header, *rows[::-1]]) + "\n")
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "free.csv: sample times must increase" in err
+
     @pytest.mark.parametrize(
         "priors", [{"M0": math.nan, "alpha0": 3.0}, {"M0": 15.0, "alpha0": math.inf}]
     )
@@ -395,6 +410,7 @@ _PROBLEM = model.problem_to_dict(reference.reference_problem())
         ("problem", [1], "bad.json"),
         ("problem", {**_PROBLEM, "alpha": None}, "'alpha'"),
         ("problem", {**_PROBLEM, "alpha": math.nan}, "'alpha'"),
+        ("priors", {"m0": 15.0, "alpha0": 3.0}, "'M0'"),
     ],
 )
 def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):

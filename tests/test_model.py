@@ -506,6 +506,16 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="uniform"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows", ["0.3,1\n0.2,1\n0.1,1\n", "0.1,1\n0.1,1\n0.1,1\n"],
+        ids=["descending", "repeated"],
+    )
+    def test_csv_times_that_do_not_increase_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n" + rows)
+        with pytest.raises(TraceError, match="bad.csv: sample times must increase"):
+            read_trace_csv(path)
+
     def test_csv_non_finite_row_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y\n0.1,1\n0.2,nan\n0.3,1\n")

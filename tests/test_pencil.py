@@ -97,7 +97,7 @@ class TestBuildHankel:
         # a PencilError for the pipeline, still a ValueError for callers
         # that catch that
         with pytest.raises(ShortTraceError, match="got 8") as caught:
-            analyze(SampleTrace(0.0, 1.0, np.ones(8)), 1e-10)
+            analyze(SampleTrace(0.0, 1.0, np.ones(8)))
         assert isinstance(caught.value, PencilError)
         assert isinstance(caught.value, ValueError)
 
@@ -213,7 +213,7 @@ class TestFitAmplitudes:
 class TestAnalyze:
     def test_noiseless_two_term_signal(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 30, period=0.05)
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         assert est.order == 2
         np.testing.assert_allclose(est.poles, [0.5, 0.25], atol=1e-10)
         np.testing.assert_allclose(fit_amplitudes(trace, est.rates), [3.0, 2.0], rtol=1e-9)
@@ -223,14 +223,14 @@ class TestAnalyze:
 
     def test_zero_trace_gives_empty_model(self):
         trace = SampleTrace(0.0, 1.0, np.zeros(20))
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         assert est.order == 0
         assert est.poles.size == 0
         assert fit_amplitudes(trace, est.rates).size == 0
 
     def test_poles_sorted_descending(self):
         trace = exp_trace([1.0, 1.0, 1.0], [0.2, 0.8, 0.5], 30)
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         assert np.all(np.diff(est.poles) < 0)
         assert np.all(np.diff(est.rates) > 0)
 
@@ -242,7 +242,7 @@ class TestAnalyze:
             + 1e-12 * rng.standard_normal(33)
         )
         trace = SampleTrace(1.0, 1.0, values)
-        a, b = analyze(trace, 1e-10), analyze(trace, 1e-10)
+        a, b = analyze(trace), analyze(trace)
         assert a.poles.tobytes() == b.poles.tobytes()
         assert (
             fit_amplitudes(trace, a.rates).tobytes()
@@ -253,22 +253,17 @@ class TestAnalyze:
             b, trace, 1.0, 1.0
         )
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-10])
-    def test_threshold_outside_unit_interval_rejected(self, epsilon):
-        with pytest.raises(ValueError, match="singular threshold"):
-            analyze(exp_trace([1.0], [0.5], 12), epsilon)
-
     def test_oscillatory_pair_discarded_with_warning(self):
         k = np.arange(30)
         values = 0.9**k * np.cos(1.1 * k)
         with pytest.warns(UserWarning, match="complex"):
-            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
+            est = analyze(SampleTrace(0.0, 1.0, values))
         assert est.order == 0
 
     def test_growing_signal_rejected_with_warning(self):
         values = 1.5 ** np.arange(20)
         with pytest.warns(UserWarning, match="outside"):
-            est = analyze(SampleTrace(0.0, 1.0, values), 1e-10)
+            est = analyze(SampleTrace(0.0, 1.0, values))
         assert est.order == 0
 
     def test_order_beyond_y0_columns_is_rank_deficiency(self):
@@ -278,11 +273,11 @@ class TestAnalyze:
         noise = 1e-8 * np.random.default_rng(0).standard_normal(50)
         noisy = SampleTrace(trace.t_start, trace.period, trace.values + noise)
         with pytest.raises(RankDeficiencyError, match="order 18 .* 17 columns"):
-            analyze(noisy, 1e-10)
+            analyze(noisy)
 
     def test_reconstruct(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 21)
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         np.testing.assert_allclose(
             rebuild(trace, est.rates, fit_amplitudes(trace, est.rates)),
             trace.values,
@@ -308,10 +303,10 @@ class TestCompressedPath:
 
     @staticmethod
     def both_paths(trace, monkeypatch):
-        compressed = analyze(trace, 1e-10)
+        compressed = analyze(trace)
         with monkeypatch.context() as m:
             m.setattr(pencil, "_COMPRESS_COLUMNS", sys.maxsize)
-            direct = analyze(trace, 1e-10)
+            direct = analyze(trace)
         return compressed, direct
 
     def test_matches_the_direct_hankel_svd(self, monkeypatch):
@@ -366,7 +361,7 @@ class TestCompressedPath:
         length = pencil._COMPRESS_COLUMNS + offset
         count = 3 * length
         trace = exp_trace([1.0, -0.5], [0.99, 0.9], count, t_start=1.0)
-        est = analyze(trace, 1e-10)
+        est = analyze(trace)
         assert est.pencil_parameter == length
         rows = count - length if length < pencil._COMPRESS_COLUMNS else length + 1
         truncated = est.truncated_pencil
@@ -410,7 +405,7 @@ class TestExactRecovery:
             amps = rng.uniform(0.1, 10.0, m) * rng.choice([-1.0, 1.0], m)
             n = int(rng.integers(30, 61))
             trace = exp_trace(amps, poles, n)
-            est = analyze(trace, 1e-10)
+            est = analyze(trace)
             assert est.order == m
             np.testing.assert_allclose(est.poles, poles, rtol=1e-8)
             rebuilt = rebuild(trace, est.rates, fit_amplitudes(trace, est.rates))

@@ -35,26 +35,13 @@ def traces_for(problem):
 class TestPipelineConfig:
     def test_only_the_estimator_parameters(self):
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
-            "epsilon", "m_tilde", "credibility_tol",
+            "m_tilde",
         ]
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"m_tilde": 0},
-            {"credibility_tol": 0.0},
-            {"credibility_tol": math.nan},
-            {"credibility_tol": math.inf},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"m_tilde": 0}])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
-
-    def test_threshold_checked_where_the_pencil_reads_it(self):
-        problem = HeatProblem(4.0, {0: 0.5, 1: -2.0}, 0.3, 0.8, 1.3)
-        with pytest.raises(ValueError, match="singular threshold"):
-            identify(*traces_for(problem), PipelineConfig(epsilon=1.0))
 
 
 class TestFreeWindowSpectrum:
