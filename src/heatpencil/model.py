@@ -51,7 +51,8 @@ class QuadratureError(RuntimeError):
 
 
 class TraceError(ValueError):
-    """A trace is malformed: non-finite values or clock, too few rows, uneven times."""
+    """A trace is malformed: non-finite values or clock, a clock whose sample
+    times overflow or stall, too few rows, uneven times."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,7 @@ class HeatProblem:
         entry n >= 1 multiplies cos(n*pi*x).  Finitely many nonzero entries.
     t1, t2, t3 : float
         Window boundaries, 0 < t1 < t2 < t3.  The flux is zero before t2 and
-        equal to ``control_amplitude`` on [t2, t3].
-    control_amplitude : float
-        Value of the flux step, default 1.
+        a unit step from t2 on.
     control_series_terms : int or None
         If set, the flux-step exponential tail is summed with exactly this
         many terms instead of to machine precision.  Used to regenerate
@@ -81,11 +80,10 @@ class HeatProblem:
     t1: float
     t2: float
     t3: float
-    control_amplitude: float = 1.0
     control_series_terms: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "t1", "t2", "t3", "control_amplitude"):
+        for name in ("alpha", "t1", "t2", "t3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"problem field '{name}' is {getattr(self, name)}, not finite")
         if self.alpha <= 0:
@@ -140,6 +138,16 @@ class SampleTrace:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        # the last sample time as ``times`` computes it, checked before the
+        # array is formed so that an overflow raises no warning
+        last = float(self.t_start) + float(self.period) * (values.size - 1)
+        if math.isfinite(last):
+            times = self.times
+        if not math.isfinite(last) or not (times[1:] > times[:-1]).all():
+            raise TraceError(
+                f"trace t_start {self.t_start!r} and period {self.period!r} do not give "
+                f"{values.size} finite, strictly increasing sample times"
+            )
 
     def __len__(self) -> int:
         return self.values.size
@@ -284,7 +292,7 @@ def _observation(problem: HeatProblem, t: np.ndarray) -> np.ndarray:
     values = _exp_row_sums(t, problem.alpha * (modes * modes) * PI_SQ, coeffs)
     after = t >= problem.t2
     if after.any():
-        values[after] += problem.control_amplitude * control_bracket(
+        values[after] += control_bracket(
             problem.alpha, t[after] - problem.t2, problem.control_series_terms
         )
     return values
@@ -326,7 +334,6 @@ def problem_to_dict(problem: HeatProblem) -> dict:
         "t1": problem.t1,
         "t2": problem.t2,
         "t3": problem.t3,
-        "control_amplitude": problem.control_amplitude,
     }
     if problem.control_series_terms is not None:
         out["control_series_terms"] = problem.control_series_terms
@@ -338,7 +345,12 @@ def problem_from_dict(data: Mapping) -> HeatProblem:
     malformed field."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a problem must be a JSON object, got {type(data).__name__}")
-    data = {"control_amplitude": 1.0, "control_series_terms": None, **data}
+    amplitude = data.get("control_amplitude", 1)  # files of earlier versions carry 1
+    if type(amplitude) not in (int, float) or amplitude != 1:
+        raise ValueError(
+            f"problem field 'control_amplitude' is {amplitude!r}; the flux step is unit"
+        )
+    data = {"control_series_terms": None, **data}
 
     def get(name, convert=float):
         if name not in data:
@@ -354,7 +366,6 @@ def problem_from_dict(data: Mapping) -> HeatProblem:
         t1=get("t1"),
         t2=get("t2"),
         t3=get("t3"),
-        control_amplitude=get("control_amplitude"),
         control_series_terms=get("control_series_terms", lambda v: None if v is None else int(v)),
     )
 

@@ -240,6 +240,11 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
     sigma_y = np.linalg.svd(y, compute_uv=False)
+    if not np.isfinite(sigma_y[0]):
+        raise PencilError(
+            f"the Hankel matrix's largest singular value overflows float64 "
+            f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
+        )
     order = detect_order(sigma_y, _EPSILON)
     if order > length:
         raise RankDeficiencyError(

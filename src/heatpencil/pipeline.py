@@ -49,6 +49,9 @@ _MAX_MODE_INDEX = math.isqrt(np.iinfo(np.int64).max)
 # exactly the reference problem's two clean pairs and rejects the third pair,
 # which is 0.7% off.
 _CREDIBILITY_TOL = 0.005
+# The drift added back and the credibility target are those of a unit flux
+# step; the step stage's refusals say so, as a scaled trace is refused there.
+_UNIT_FLUX = "identify assumes a unit flux step on [t2, t3] in the trace's temperature units"
 
 
 @dataclass(frozen=True)
@@ -104,9 +107,9 @@ def transform_step_window(trace: SampleTrace, free: FreeSpectrum | None) -> Samp
     i = np.arange(trace.values.size, dtype=float)
     transformed = trace.values + trace.period * i
     if free is not None and len(free):
-        transformed = transformed - np.exp(
-            -np.outer(trace.times, free.rates)
-        ) @ free.coefficients
+        with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
+            decay = np.exp(-np.outer(trace.times, free.rates))
+        transformed = transformed - decay @ free.coefficients
     return SampleTrace(t_start=0.0, period=1.0, values=transformed)
 
 
@@ -145,7 +148,10 @@ def alpha_from_step_window(
             "no detectable modes in the transformed flux-step window"
         )
     rates = est.rates
-    coeffs = pencil.fit_amplitudes(transformed, rates)
+    try:
+        coeffs = pencil.fit_amplitudes(transformed, rates)
+    except pencil.DegenerateRatesError as exc:
+        raise pencil.DegenerateRatesError(f"{exc}; {_UNIT_FLUX}") from None
     target = 2.0 * trace.period
     credibility = np.full(rates.size, np.inf)
     alpha_by_index: dict[int, float] = {}
@@ -166,7 +172,7 @@ def alpha_from_step_window(
     if not candidates:
         raise AlphaUnrecoverableError(
             "diffusivity unrecoverable from the controlled window: no credible "
-            "mode pair and no constant mode"
+            f"mode pair and no constant mode; {_UNIT_FLUX}"
         )
     return StepWindowResult(
         alpha=float(np.median(candidates)),

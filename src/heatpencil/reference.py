@@ -72,7 +72,6 @@ def reference_problem() -> HeatProblem:
         t1=t1,
         t2=t2,
         t3=t3,
-        control_amplitude=1.0,
         control_series_terms=REFERENCE_CONTROL_TERMS,
     )
 

@@ -411,6 +411,7 @@ _PROBLEM = model.problem_to_dict(reference.reference_problem())
         ("problem", {**_PROBLEM, "alpha": None}, "'alpha'"),
         ("problem", {**_PROBLEM, "alpha": math.nan}, "'alpha'"),
         ("priors", {"m0": 15.0, "alpha0": 3.0}, "'M0'"),
+        ("problem", {**_PROBLEM, "control_amplitude": 2.0}, "'control_amplitude'"),
     ],
 )
 def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):

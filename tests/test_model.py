@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,13 +54,14 @@ def at(problem, t):
 
 
 def free_at(problem, t):
-    """The observation at ``t`` with the flux never switched on."""
-    return at(dataclasses.replace(problem, control_amplitude=0.0), t)
+    """The observation at ``t`` with the flux switched on only after ``t``."""
+    return at(dataclasses.replace(problem, t2=t + 1, t3=t + 2), t)
 
 
 def decay_rate(alpha, n, period):
     """The rate of cosine mode ``n``, read off two samples of its free response."""
-    y = sample(make_problem(alpha, {n: 1.0}, control_amplitude=0.0), period, period, 2).values
+    free = dataclasses.replace(make_problem(alpha, {n: 1.0}), t2=2 * period + 1, t3=2 * period + 2)
+    y = sample(free, period, period, 2).values
     return -math.log(y[1] / y[0]) / period
 
 
@@ -224,12 +226,6 @@ class TestStepResponse:
         assert err < 1e-10
         assert at(problem, problem.t2 + dt) == pytest.approx(-integral, abs=1e-10)
 
-    def test_amplitude_scaling(self):
-        base = make_problem(coeffs={})
-        doubled = make_problem(coeffs={}, control_amplitude=2.0)
-        t = base.t2 + 0.2
-        assert at(doubled, t) == pytest.approx(2 * at(base, t), rel=1e-14)
-
     def test_truncated_series_differs_from_exact(self):
         exact = make_problem(coeffs={})
         capped = make_problem(coeffs={}, control_series_terms=200)
@@ -274,11 +270,8 @@ class TestSample:
 def random_problem(rng, terms):
     modes = rng.choice(40, size=int(rng.integers(1, 12)), replace=False)
     coeffs = {int(n): float(rng.uniform(-10, 10)) for n in modes}
-    return HeatProblem(
-        float(rng.uniform(0.5, 8.0)), coeffs, 0.3, 0.8, 1.3,
-        control_amplitude=float(rng.uniform(0.5, 2.0)),
-        control_series_terms=terms,
-    )
+    alpha = float(rng.uniform(0.5, 8.0))
+    return HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3, control_series_terms=terms)
 
 
 def control_bracket_oracle(alpha, dt, n_terms):
@@ -303,7 +296,7 @@ class TestSeriesLayer:
             problem = random_problem(rng, terms)
             # windows of 60 samples that span the switch at t2
             t_start = float(rng.uniform(0.05, 0.79))
-            period = float(rng.uniform(0.8 - t_start, 1.3 - t_start)) / 60
+            period = float(rng.uniform(0.8 - t_start, 1.3 - t_start)) / 59
             trace = sample(problem, t_start, period, 60)
             assert trace.times[-1] > problem.t2
             for t, y in zip(trace.times, trace.values):
@@ -414,8 +407,7 @@ class TestHeatProblem:
 
     @pytest.mark.parametrize("name,value", [
         ("alpha", math.nan), ("alpha", math.inf), ("t1", math.nan), ("t2", math.nan),
-        ("t3", math.inf), ("t3", math.nan), ("control_amplitude", math.nan),
-        ("control_amplitude", -math.inf),
+        ("t3", math.inf), ("t3", math.nan),
     ])
     def test_non_finite_field_named(self, name, value):
         fields = dict(alpha=4.0, u0_coeffs={0: 1.0}, t1=0.3, t2=0.8, t3=1.3)
@@ -541,6 +533,19 @@ class TestFileFormats:
         back = model.load_problem(path)
         assert back == problem
 
+    @pytest.mark.parametrize("amplitude", [1, 1.0])
+    def test_problem_unit_amplitude_of_earlier_files_accepted(self, amplitude):
+        data = model.problem_to_dict(make_problem(control_series_terms=200))
+        assert "control_amplitude" not in data
+        with_key = model.problem_from_dict({**data, "control_amplitude": amplitude})
+        assert with_key == model.problem_from_dict(data)
+
+    @pytest.mark.parametrize("amplitude", [2.0, 0.0, -1, math.nan, "1", True, None])
+    def test_problem_other_amplitude_refused(self, amplitude):
+        data = {**model.problem_to_dict(make_problem()), "control_amplitude": amplitude}
+        with pytest.raises(ValueError, match="'control_amplitude' .* the flux step is unit"):
+            model.problem_from_dict(data)
+
     def test_problem_json_missing_field(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text('{"alpha": 4.0}')
@@ -561,6 +566,17 @@ class TestSampleTrace:
         clock = {"t_start": 0.3, "period": 0.01, name: value}
         with pytest.raises(TraceError, match=f"trace {name} is"):
             SampleTrace(values=np.ones(3), **clock)
+
+    @pytest.mark.parametrize("t_start,period,count", [
+        (0.3, 1e307, 50),   # free window: the last time overflows
+        (0.01, 3e306, 79),  # reconstruction window
+        (0.8, 1e307, 50),   # flux-step window
+        (0.5, 1e-17, 79),   # the period does not move the clock
+    ])
+    def test_clock_that_overflows_or_stalls_rejected(self, t_start, period, count):
+        named = re.escape(f"t_start {t_start!r} and period {period!r}")
+        with pytest.raises(TraceError, match=named):
+            SampleTrace(t_start, period, np.ones(count))
 
     def test_non_finite_values_rejected_by_index(self):
         with pytest.raises(TraceError, match="index 2"):

@@ -228,6 +228,12 @@ class TestAnalyze:
         assert est.poles.size == 0
         assert fit_amplitudes(trace, est.rates).size == 0
 
+    def test_overflowing_spectrum_refused(self):
+        # finite samples whose Hankel singular values exceed float64
+        trace = SampleTrace(0.0, 1.0, 1e307 * np.arange(1.0, 10.0))
+        with pytest.raises(pencil.PencilError, match=r"overflows float64 \(max \|y\| = 9e\+307\)"):
+            analyze(trace)
+
     def test_poles_sorted_descending(self):
         trace = exp_trace([1.0, 1.0, 1.0], [0.2, 0.8, 0.5], 30)
         est = analyze(trace)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatpencil import pencil, reference
-from heatpencil.model import HeatProblem, SampleTrace, TraceError, sample_windows
+from heatpencil.model import HeatProblem, SampleTrace, TraceError, control_bracket, sample_windows
 from heatpencil.pipeline import (
     AlphaUnrecoverableError,
     AmbiguousIndicesError,
@@ -387,6 +387,23 @@ class TestIdentify:
         big = SampleTrace(free.t_start, free.period, free.values * 1e150)
         with pytest.raises(ModeIndexRangeError, match="alpha = 6.66667e-151"):
             identify(big, step, rec, priors=reference.REFERENCE_PRIORS)
+
+    @pytest.mark.parametrize("q,error", [
+        (0.5, pencil.DegenerateRatesError),
+        (0.99, pencil.DegenerateRatesError),
+        (1.001, AlphaUnrecoverableError),
+        (2.0, AlphaUnrecoverableError),
+        (-1.0, AlphaUnrecoverableError),
+    ])
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")  # the leftover drift reads as growth
+    def test_step_of_another_amplitude_refused_naming_the_unit_flux(self, q, error):
+        # a flux step of amplitude q adds (q - 1) unit-step brackets
+        problem = reference.reference_problem()
+        free, step, rec = traces_for(problem)
+        bracket = control_bracket(4.0, step.times - 0.8, problem.control_series_terms)
+        scaled = SampleTrace(step.t_start, step.period, step.values + (q - 1) * bracket)
+        with pytest.raises(error, match=r"identify assumes a unit flux step on \[t2, t3\]"):
+            identify(free, scaled, rec, None, reference.REFERENCE_PRIORS)
 
     def test_non_generic_profile_single_even_mode(self):
         # only mode 2 is excited; the pipeline must label it correctly
