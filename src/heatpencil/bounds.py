@@ -218,14 +218,18 @@ def certificate_inputs(
     if pencil is None:
         raise CertificateUnavailableError("certificate unavailable (no signal detected)")
     um, a, vm = pencil.um, pencil.sv, pencil.vm
-    gap = float(np.linalg.norm((um * a) @ vm.T - pencil.y0, 2))
+    # Both 2-norms in one call: the residual and Y1 share Y0's shape, and
+    # each matrix reaches LAPACK as it would alone.
+    gap, y1_norm = np.linalg.norm(
+        np.stack(((um * a) @ vm.T - pencil.y0, pencil.y1)), 2, axis=(1, 2)
+    ).tolist()
     # Eigenvector matrix of the full (L x L) truncated product, unit columns.
     _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
     kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
         t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),
-        y1_norm=float(np.linalg.norm(pencil.y1, 2)), y0_trunc_gap=gap, kappa_xm=kappa,
+        y1_norm=y1_norm, y0_trunc_gap=gap, kappa_xm=kappa,
     )
 
 

@@ -169,8 +169,10 @@ def _svg_line_plot(
 
 
 def _csv_text(header: str, row_format: str, *columns: np.ndarray) -> str:
-    """A header line, then ``row_format`` applied to each row of the columns."""
-    return header + "\n" + "".join(row_format % row for row in zip(*(c.tolist() for c in columns)))
+    """A header line, then ``row_format`` applied to each row of the columns,
+    formatted by one ``%`` over all rows."""
+    flat = np.column_stack(columns).ravel().tolist()
+    return header + "\n" + row_format * len(columns[0]) % tuple(flat)
 
 
 def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | None) -> list[str]:

@@ -21,6 +21,7 @@ spectral inputs; this module imports nothing of the package but ``model``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,7 +79,12 @@ def build_hankel(trace: SampleTrace) -> np.ndarray:
     if n < 9:
         raise ShortTraceError(f"need at least 9 samples to form the pencil, got {n}")
     length = resolve_pencil_parameter(n)
-    return np.lib.stride_tricks.sliding_window_view(trace.values, length + 1)
+    # as_strided skips sliding_window_view's argument checks, which cost more
+    # than the view itself on reference-sized windows.
+    step = trace.values.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        trace.values, shape=(n - length, length + 1), strides=(step, step), writeable=False
+    )
 
 
 def detect_order(sigma: np.ndarray, epsilon: float) -> int:
@@ -89,7 +95,7 @@ def detect_order(sigma: np.ndarray, epsilon: float) -> int:
     """
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma / sigma[0] >= epsilon))
+    return int(np.count_nonzero(sigma / sigma[0] >= epsilon))
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,7 @@ def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
     poles = np.asarray(poles, dtype=float)
-    if np.any(poles <= 0):
+    if (poles <= 0).any():
         raise PencilError(
             f"nonpositive pole {poles[poles <= 0][0]} has no decay-rate reading"
         )
@@ -240,7 +246,7 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
     sigma_y = np.linalg.svd(y, compute_uv=False)
-    if not np.isfinite(sigma_y[0]):
+    if not math.isfinite(sigma_y[0]):
         raise PencilError(
             f"the Hankel matrix's largest singular value overflows float64 "
             f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
@@ -254,7 +260,7 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     if order:
         eigvals, truncated = estimate_poles(y, order)
         imag_ok = np.abs(eigvals.imag) <= _REALNESS_TOL * np.abs(eigvals)
-        if not np.all(imag_ok):
+        if not imag_ok.all():
             warnings.warn(
                 f"discarding {int(np.sum(~imag_ok))} complex pencil eigenvalue(s); "
                 "the model class is real",
@@ -262,7 +268,7 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
             )
         poles = eigvals.real[imag_ok]
         in_range = (poles > 0.0) & (poles <= 1.0 + _UNIT_POLE_SLACK)
-        if not np.all(in_range):
+        if not in_range.all():
             warnings.warn(
                 f"discarding {int(np.sum(~in_range))} pole(s) outside (0, 1]; "
                 "growth is not physical for a cooling trace",

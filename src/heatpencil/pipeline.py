@@ -127,6 +127,17 @@ class StepWindowResult:
     estimate: pencil.PencilEstimate
 
 
+def _median(values: list[float]) -> float:
+    """The median of a short list of finite floats, equal to ``np.median``'s
+    bit for bit: the middle value, or for an even count the two middle
+    values' sum halved."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def alpha_from_step_window(
     trace: SampleTrace, free: FreeSpectrum | None
 ) -> StepWindowResult:
@@ -153,21 +164,24 @@ def alpha_from_step_window(
     except pencil.DegenerateRatesError as exc:
         raise pencil.DegenerateRatesError(f"{exc}; {_UNIT_FLUX}") from None
     target = 2.0 * trace.period
-    credibility = np.full(rates.size, np.inf)
+    # Python floats: a product past float64 reads inf, not credible, and
+    # raises no numpy warning.
+    rate_list, coeff_list = rates.tolist(), coeffs.tolist()
+    credibility = [math.inf] * rates.size
     alpha_by_index: dict[int, float] = {}
     candidates: list[float] = []
     accepted = []
     for j in range(1, rates.size):
-        credibility[j] = abs(coeffs[j] * rates[j] / target - 1.0)
+        credibility[j] = abs(coeff_list[j] * rate_list[j] / target - 1.0)
         if credibility[j] <= _CREDIBILITY_TOL:
-            estimate = rates[j] / (j * j * PI_SQ * trace.period)
+            estimate = rate_list[j] / (j * j * PI_SQ * trace.period)
             if estimate > 0:
                 alpha_by_index[j] = estimate
                 candidates.append(estimate)
                 accepted.append(j)
     alpha_from_constant = None
-    if rates.size and rates[0] == 0.0 and coeffs[0] < 0:
-        alpha_from_constant = -1.0 / (3.0 * coeffs[0])
+    if rates.size and rate_list[0] == 0.0 and coeff_list[0] < 0:
+        alpha_from_constant = -1.0 / (3.0 * coeff_list[0])
         candidates.append(alpha_from_constant)
     if not candidates:
         raise AlphaUnrecoverableError(
@@ -175,10 +189,10 @@ def alpha_from_step_window(
             f"mode pair and no constant mode; {_UNIT_FLUX}"
         )
     return StepWindowResult(
-        alpha=float(np.median(candidates)),
+        alpha=_median(candidates),
         coefficients=coeffs,
         rates=rates,
-        credibility=credibility,
+        credibility=np.array(credibility),
         accepted=tuple(accepted),
         alpha_by_index=alpha_by_index,
         alpha_from_constant=alpha_from_constant,
@@ -215,12 +229,11 @@ def assign_mode_indices(
             "change the window or threshold"
         )
     alpha_by_index = {
-        int(n): float(rate / (n * n * PI_SQ))
-        for n, rate in zip(indices, free_rates)
+        n: rate / (n * n * PI_SQ)
+        for n, rate in zip(indices.tolist(), free_rates.tolist())
         if n != 0
     }
-    merged = sorted(alpha_by_index.values()) + [alpha_step3]
-    return indices, alpha_by_index, float(np.median(merged))
+    return indices, alpha_by_index, _median([*alpha_by_index.values(), alpha_step3])
 
 
 def refine_alpha_from_trace(
@@ -247,7 +260,7 @@ def refine_alpha_from_trace(
     candidates: dict[int, float] = {}
     best = None
     best_conditioning = 0.0
-    for pole, rate in zip(est.poles, est.rates):
+    for pole, rate in zip(est.poles.tolist(), est.rates.tolist()):
         if rate <= 0:
             continue
         n = int(round(math.sqrt(rate / (alpha_coarse * PI_SQ))))
@@ -255,11 +268,11 @@ def refine_alpha_from_trace(
             continue
         estimate = rate / (n * n * PI_SQ)
         if abs(estimate / alpha_coarse - 1.0) <= 0.05:
-            candidates[n] = float(estimate)
+            candidates[n] = estimate
             conditioning = pole * abs(math.log(pole))
             if conditioning > best_conditioning:
                 best_conditioning = conditioning
-                best = float(estimate)
+                best = estimate
     if best is None:
         return alpha_coarse, {}
     return best, candidates
@@ -270,17 +283,18 @@ def build_design_matrix(alpha: float, times: np.ndarray, m_tilde: int) -> np.nda
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
+    if (times <= 0).any() or (np.diff(times) <= 0).any():
         raise ValueError("times must be positive and strictly increasing")
     modes = np.arange(m_tilde)
-    return np.exp(-alpha * np.outer(times, modes * modes) * PI_SQ)
+    with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
+        return np.exp(-alpha * np.outer(times, modes * modes) * PI_SQ)
 
 
 def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     """Singular values above max(shape) * eps relative to the largest."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > max(shape) * np.finfo(float).eps * sv[0]))
+    return int(np.count_nonzero(sv > max(shape) * np.finfo(float).eps * sv[0]))
 
 
 def _truncated_solution(u, s, vt, rhs: np.ndarray, k: int) -> np.ndarray:
@@ -396,8 +410,7 @@ def identify(
             free.rates, step.alpha
         )
         free_modes = tuple(
-            (int(n), float(rate), float(coeff))
-            for n, rate, coeff in zip(indices, free.rates, free.coefficients)
+            zip(indices.tolist(), free.rates.tolist(), free.coefficients.tolist())
         )
     else:
         alpha_by_index, alpha_step4 = {}, step.alpha

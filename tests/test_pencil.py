@@ -71,6 +71,15 @@ class TestBuildHankel:
         assert np.shares_memory(hankel, trace.values)
         assert not hankel.flags.writeable
 
+    @pytest.mark.parametrize("n", [9, 12, 50, 79, 300])
+    def test_equals_the_sliding_window_view(self, n):
+        trace = SampleTrace(0.0, 1.0, np.arange(float(n)))
+        hankel = build_hankel(trace)
+        window = np.lib.stride_tricks.sliding_window_view(trace.values, hankel.shape[1])
+        assert (hankel.shape, hankel.strides) == (window.shape, window.strides)
+        assert np.shares_memory(hankel, trace.values) and not hankel.flags.writeable
+        np.testing.assert_array_equal(hankel, window)
+
     def test_pencil_blocks_are_contiguous_copies(self):
         trace = SampleTrace(0.0, 1.0, np.arange(12.0))
         _, truncated = estimate_poles(build_hankel(trace), 2)

@@ -15,6 +15,7 @@ from heatpencil.pipeline import (
     ModeIndexRangeError,
     NoModesError,
     PipelineConfig,
+    _median,
     alpha_from_step_window,
     assign_mode_indices,
     build_design_matrix,
@@ -130,6 +131,30 @@ class TestAlphaFromStepWindow:
         trace = SampleTrace(t_start=0.8, period=0.01, values=values)
         with pytest.raises(AlphaUnrecoverableError):
             alpha_from_step_window(trace, None)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [0.3],
+        [0.1, 0.2],
+        [4.0, 4.0],
+        [3.0, 1.0, 2.0],
+        [0.7, 0.1, 0.7, 0.2],
+        [3.9, 4.1, 4.0, 4.0, 3.95, 4.05, 1e-3, 1e3],
+        [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 5.0],
+    ])
+    def test_equals_numpy_bit_for_bit(self, values):
+        expected = np.median(values)
+        got = _median(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8])
+    def test_equals_numpy_on_random_lists(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(200):
+            values = rng.choice(rng.lognormal(size=size), size).tolist()  # with repeats
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 class TestAssignModeIndices:
@@ -345,7 +370,7 @@ class TestFactorizationCounts:
         traces, cfg = self._reference_traces()
         result = identify(*traces, cfg, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
-        assert counts["svd"] <= 10
+        assert counts["svd"] <= 9
         assert counts["eig"] == 1
         assert counts["eigvals"] <= 3
         assert counts["lstsq"] == 2
@@ -365,7 +390,7 @@ class TestFactorizationCounts:
         traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
         result = identify(*traces, None, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
-        assert counts == {"svd": 10, "eig": 1, "eigvals": 3, "lstsq": 2, "qr": 3}
+        assert counts == {"svd": 9, "eig": 1, "eigvals": 3, "lstsq": 2, "qr": 3}
 
 
 class TestIdentify:
@@ -403,6 +428,18 @@ class TestIdentify:
         bracket = control_bracket(4.0, step.times - 0.8, problem.control_series_terms)
         scaled = SampleTrace(step.t_start, step.period, step.values + (q - 1) * bracket)
         with pytest.raises(error, match=r"identify assumes a unit flux step on \[t2, t3\]"):
+            identify(free, scaled, rec, None, reference.REFERENCE_PRIORS)
+
+    @pytest.mark.parametrize("scale", [1e305, 1e306, 1e307])
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")
+    def test_huge_step_trace_refused_naming_the_unit_flux(self, scale):
+        # the pair products C'_j * rate'_j leave float64: no pair is
+        # credible, and the overflow raises no RuntimeWarning
+        free, step, rec = traces_for(reference.reference_problem())
+        scaled = SampleTrace(step.t_start, step.period, step.values * scale)
+        with pytest.raises(
+            AlphaUnrecoverableError, match=r"identify assumes a unit flux step on \[t2, t3\]"
+        ):
             identify(free, scaled, rec, None, reference.REFERENCE_PRIORS)
 
     def test_non_generic_profile_single_even_mode(self):

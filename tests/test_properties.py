@@ -3,7 +3,8 @@
 Finite, well-formed traces must either be identified or refused with one of
 the program's own error types; a clock that cannot time its samples is
 refused when the trace is built.  Bare numpy errors and RuntimeWarnings
-(errors under the suite's filter) fail the property.
+(errors under the suite's filter) fail the property.  On the command line,
+each such refusal exits 2 with one ``error`` line on stderr.
 
 Hypothesis draws some values from the literals of the modules loaded in the
 session, so which generated examples run depends on what else was
@@ -11,7 +12,12 @@ imported; the explicit examples, which a full-suite run found, run in every
 session.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +25,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatpencil import pencil
-from heatpencil.model import HeatProblem, SampleTrace, TraceError, sample_windows
+from heatpencil.cli import main
+from heatpencil.model import (
+    HeatProblem,
+    SampleTrace,
+    TraceError,
+    read_trace_csv,
+    sample_windows,
+    write_trace_csv,
+)
 from heatpencil.pipeline import IdentificationError, identify
+
+TRACE_FILES = ("free.csv", "step.csv", "rec.csv")  # what `heatpencil identify` reads
 
 # Periods at the edge of float64: 1e307 and 3e306 overflow the clock of a long
 # enough window (and stay finite over a short one); 1e-17 does not move it.
@@ -51,20 +67,17 @@ def cases(draw):
     }
 
 
-def huge_step_period(coeffs):
-    # 9 flux-step samples at period 1e307 end at 8e307: a finite clock whose
-    # drift overflows the transformed window's singular values
-    problem = HeatProblem(1.0, coeffs, 1.0, 2.0, 3.0)
+def huge_period(window, alpha, coeffs):
+    # 9 samples at period 1e307 end at 8e307: a finite clock, under which the
+    # flux-step window's drift overflows its singular values and the
+    # reconstruction window's times overflow the design matrix's exponents
+    problem = HeatProblem(alpha, coeffs, 1.0, 2.0, 3.0)
     return {"problem": problem, "counts": (9, 9, 9), "t0": 1.0, "scale": 1.0, "noise": 0.0,
-            "seed": 0, "clock": (1, 1e307)}
+            "seed": 0, "clock": (window, 1e307)}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(cases())
-@example(huge_step_period({1: 1.0}))
-@example(huge_step_period({}))
-@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
-def test_identify_returns_or_refuses_with_its_own_errors(case):
+def build_traces(case):
+    """The case's three traces and priors, or None when its clock is refused."""
     problem = case["problem"]
     n1, n2, n_rec = case["counts"]
     rng = np.random.default_rng(case["seed"])
@@ -84,9 +97,56 @@ def test_identify_returns_or_refuses_with_its_own_errors(case):
         ]
     except TraceError:
         assert case["clock"] is not None
+        return None
+    return traces, (1.5 * problem.u0_l2_norm() + 1.0, 0.75 * problem.alpha)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(cases())
+@example(huge_period(1, 1.0, {1: 1.0}))
+@example(huge_period(1, 1.0, {}))
+@example(huge_period(2, 10.0, {}))
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
+def test_identify_returns_or_refuses_with_its_own_errors(case):
+    built = build_traces(case)
+    if built is None:
         return
-    priors = (1.5 * problem.u0_l2_norm() + 1.0, 0.75 * problem.alpha)
+    traces, priors = built
     try:
         identify(*traces, None, priors)
     except (IdentificationError, pencil.PencilError):
         pass
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(cases())
+@example(huge_period(1, 1.0, {1: 1.0}))
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
+def test_cli_refusal_exits_two_with_one_stderr_line(case):
+    built = build_traces(case)
+    if built is None:
+        return
+    traces, (m0, alpha0) = built
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, trace in zip(TRACE_FILES, traces):
+            write_trace_csv(work / name, trace)
+        (work / "priors.json").write_text(json.dumps({"M0": m0, "alpha0": alpha0}))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["identify", str(work), str(work / "priors.json"),
+                       "--out", str(work / "out" / "result.json")])
+        lines = stderr.getvalue().splitlines()
+        # the library on the traces as the command reads them back
+        try:
+            reread = [read_trace_csv(work / name) for name in TRACE_FILES]
+        except TraceError:
+            assert (rc, len(lines)) == (2, 1)
+            return
+    try:
+        identify(*reread, None, (m0, alpha0))
+    except (IdentificationError, pencil.PencilError) as exc:
+        assert rc == 2
+        assert lines == [f"error ({type(exc).__name__}): {exc}"]
+    else:
+        assert (rc, lines) == (0, [])
