@@ -4,13 +4,17 @@ Given samples ``y_k = sum_i R_i z_i**k`` plus a small perturbation, the
 estimator views the trace as one Hankel matrix Y, detects the model order
 from its singular spectrum, recovers the poles ``z_i`` as eigenvalues of the
 rank-truncated pencil of Y's column-shifted blocks Y0 and Y1, and converts
-them to continuous-time decay rates.  A window whose pencil parameter L is
-at least ``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix
-Y by the (L+1) x (L+1) triangular factor R of ``Y = QR``: R has Y's
-singular values, and its column blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` give
-the same poles and certificate norms, so every later factorization runs on
-L+1 rows.  Only real nonincreasing signals are supported: complex or
-growing poles are treated as artifacts and dropped.
+them to continuous-time decay rates.  One thin SVD of Y0 serves both: Y is
+Y0 plus one column, so Y's spectrum interlaces Y0's, and the secular
+equation of that column decides the order on Y unless a singular value of
+Y lies within ``_ORDER_BAND`` of the cutoff; only then is Y's spectrum
+computed.  A window whose pencil parameter L is at least
+``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix Y by
+the (L+1) x (L+1) triangular factor R of ``Y = QR``: R has Y's singular
+values, and its column blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` give the same
+poles and certificate norms, so every later factorization runs on L+1 rows.
+Only real nonincreasing signals are supported: complex or growing poles are
+treated as artifacts and dropped.
 The series coefficients are a separate linear least-squares fit of
 ``exp(-rate * t)`` on the trace's times, :func:`fit_amplitudes`, the
 package's one exponential fit, run by the callers that read them.
@@ -45,6 +49,9 @@ _COMPRESS_COLUMNS = 48
 # Singular values at or above this fraction of the largest count toward the
 # model order: the paper's cutoff, used for every published value.
 _EPSILON = 1e-10
+# A singular value of Y within this factor of that cutoff is not decided from
+# Y0's factors: analyze then computes Y's spectrum and counts it directly.
+_ORDER_BAND = 1.01
 
 
 class PencilError(Exception):
@@ -100,17 +107,18 @@ def detect_order(sigma: np.ndarray, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class TruncatedPencil:
-    """Rank-M factors of Y0 from the pole solve, with the pencil they factor.
+    """Rank-M factors of Y0, with the pencil they factor.
 
     ``y0`` and ``y1`` are the reversed column blocks ``[:, L-1::-1]`` and
-    ``[:, L:0:-1]`` of the matrix the pole solve was given, held as
+    ``[:, L:0:-1]`` of the matrix the pencil was formed from, held as
     C-contiguous copies.  On the direct path that matrix is the Hankel
     matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
     have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
     Y's triangular factor R, so they are ``Q.T @ Y0`` and ``Q.T @ Y1`` with
     L+1 rows, which have the same singular values, 2-norms and pencil.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
-    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.
+    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  At M = L, as
+    :func:`factor_pencil` returns it, the factors are Y0's whole thin SVD.
     """
 
     y0: np.ndarray = field(repr=False)
@@ -120,35 +128,47 @@ class TruncatedPencil:
     vm: np.ndarray = field(repr=False)
 
 
-def estimate_poles(y: np.ndarray, order: int) -> tuple[np.ndarray, TruncatedPencil]:
-    """Eigenvalues of the rank-``order`` truncated pencil of the Hankel
-    matrix ``y``, sorted by real part.
+def factor_pencil(y: np.ndarray) -> TruncatedPencil:
+    """The pencil blocks of the Hankel matrix ``y`` with Y0's thin SVD.
 
     ``y`` may also be any ``Q.T @ Y`` with orthonormal Q spanning Y's
-    columns, such as the triangular factor R of ``Y = QR``: the poles are
-    the same, since only products with Y's column space enter.  Returns the
-    possibly complex eigenvalues together with the truncated factors, from
-    which the error certificate's spectral inputs are read.
+    columns, such as the triangular factor R of ``Y = QR``: only products
+    with Y's column space enter the pencil.  The first column of ``y1`` is
+    the column of ``y`` that Y0 lacks.
     """
-    rows, length = y.shape[0], y.shape[1] - 1
-    if not (1 <= order <= min(rows, length)):
-        raise ValueError(f"order {order} invalid for a {rows}x{length} pencil")
-    # Contiguous copies: the BLAS products below round differently on
-    # strided views.
+    length = y.shape[1] - 1
+    # Contiguous copies: the BLAS products of the pole solve and the
+    # certificate round differently on strided views.
     y0 = np.ascontiguousarray(y[:, length - 1 :: -1])
     y1 = np.ascontiguousarray(y[:, length:0:-1])
     u, s, vt = np.linalg.svd(y0, full_matrices=False)
-    if s[order - 1] == 0.0:
+    return TruncatedPencil(y0=y0, y1=y1, um=u, sv=s, vm=vt.T)
+
+
+def estimate_poles(
+    factors: TruncatedPencil, order: int
+) -> tuple[np.ndarray, TruncatedPencil]:
+    """Eigenvalues of the rank-``order`` truncated pencil, sorted by real
+    part, from the factorization :func:`factor_pencil` returns.
+
+    Returns the possibly complex eigenvalues together with the factors
+    truncated to ``order``, from which the error certificate's spectral
+    inputs are read.
+    """
+    rows, length = factors.y0.shape
+    if not (1 <= order <= min(rows, length)):
+        raise ValueError(f"order {order} invalid for a {rows}x{length} pencil")
+    if factors.sv[order - 1] == 0.0:
         raise RankDeficiencyError(
             f"order {order} exceeds the rank of the data (sigma_{order} = 0)"
         )
-    um = u[:, :order]
-    vm = vt[:order, :].T
-    a = s[:order]
-    z_e = (um.T @ y1 @ vm) / a[:, None]
+    um = factors.um[:, :order]
+    vm = factors.vm[:, :order]
+    a = factors.sv[:order]
+    z_e = (um.T @ factors.y1 @ vm) / a[:, None]
     eigvals = np.linalg.eigvals(z_e)
     eigvals = eigvals[np.argsort(-eigvals.real)]
-    return eigvals, TruncatedPencil(y0=y0, y1=y1, um=um, sv=a, vm=vm)
+    return eigvals, TruncatedPencil(y0=factors.y0, y1=factors.y1, um=um, sv=a, vm=vm)
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
@@ -214,7 +234,8 @@ class PencilEstimate:
     factors of the pole solve at the detected order (None when no signal was
     detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
     columns, blocks of Y's triangular factor R at or above it.
-    ``singular_values`` is the spectrum of that same matrix, Y or R.
+    ``singular_values`` is the spectrum of the block Y0, the L values from
+    which the order on Y is read; Y's own L+1 values interlace them.
     ``order`` counts the poles kept after complex and growing ones are
     discarded.
     """
@@ -228,37 +249,97 @@ class PencilEstimate:
     sample_count: int
 
 
+def _order_from_factors(factors: TruncatedPencil) -> int | None:
+    """``detect_order(svdvals(Y), _EPSILON)`` read off Y0's thin SVD, or
+    None where the factors leave it open.
+
+    Y is Y0 plus the one column c that Y0 lacks, ``y1[:, 0]``.  With
+    p = U.T c and r the norm of c's part outside U's columns, Y Y.T is
+    ``diag(s**2, 0) + [p; r] [p; r].T`` in the basis of U and that part, so
+    Y's singular values interlace Y0's: ``s_k <= sigma_k(Y) <= s_{k-1}``.
+    sigma_1(Y) lies between ``max(|c|, hypot(s_1, p_1))`` and
+    ``w = hypot(s_1, |c|)``, which puts the cutoff ``_EPSILON * sigma_1(Y)``
+    within [low, high], that bracket widened by ``_ORDER_BAND`` each way.
+    When m singular values of Y0 lie above high and none within a further
+    band of [low, high], sigma_1..sigma_m(Y) count and those after
+    sigma_{m+1}(Y) do not.  By the secular equation (Bunch & Nielsen,
+    "Updating the singular value decomposition", Numer. Math. 31, 1978),
+    ``sigma_{m+1}(Y) >= t`` exactly when
+    ``1 + sum p_i**2 / (s_i**2 - t**2) - r**2 / t**2 <= 0``, for any t
+    strictly between s_{m+1} and s_m.  Evaluated at low and at high, it
+    decides the order unless sigma_{m+1}(Y) lies between them.  The band
+    absorbs the rounding of both factorizations, a few millionths of the
+    cutoff.
+    Everything is taken in units of w, under which nothing overflows;
+    factors with s_1 = 0, or with ``s_1 * w`` past float64, are left open.
+    """
+    s, um, c = factors.sv, factors.um, factors.y1[:, 0]
+    s1 = float(s[0])
+    # math.hypot scales its arguments: it overflows only where its result does
+    norm_c = math.hypot(*c.tolist())
+    w = math.hypot(s1, norm_c)
+    if not (s1 > 0.0 and math.isfinite(s1 * w)):
+        return None
+    cw = c / w
+    p = cw @ um
+    rest = cw - um @ p
+    r2 = float(rest @ rest)
+    sw2, p2 = (s / w) ** 2, p * p
+    low = _EPSILON * max(norm_c / w, math.hypot(s1 / w, p[0])) / _ORDER_BAND
+    high = _EPSILON * _ORDER_BAND
+    # Y0's singular values a further band above high
+    m = detect_order(s, _ORDER_BAND * high * w / s1)
+    if m < s.size and sw2[m] * _ORDER_BAND**2 >= low * low:
+        return None
+
+    def secular(t: float) -> float:
+        return 1.0 + float((p2 / (sw2 - t * t)).sum()) - r2 / (t * t)
+
+    if secular(low) > 0.0:
+        return m
+    if secular(high) <= 0.0:
+        return m + 1
+    return None
+
+
 def analyze(trace: SampleTrace) -> PencilEstimate:
     """Run the estimator: order detection, poles, rates in ascending order.
 
     The order counts singular values of Y at or above ``_EPSILON`` relative
-    to the largest.  One SVD of Y gives both the detected order and the
-    reported spectrum; one SVD of Y0 gives the poles.  When L is at least
-    ``_COMPRESS_COLUMNS``, Y is first reduced to the triangular factor R of
-    one QR, and both SVDs run on R's L+1 rows.  Complex eigenvalue pairs and
-    poles outside (0, 1 + 1e-9] are discarded with a warning, reducing the
-    reported order; poles within rounding of 1 are clamped to exactly 1 (the
-    constant mode).  An order detected on Y beyond the L columns of Y0
+    to the largest.  One thin SVD of Y0 decides it, through interlacing and
+    the secular equation of the one column Y0 lacks
+    (:func:`_order_from_factors`), and the same factors give the poles.
+    Only when a singular value of Y lies within ``_ORDER_BAND`` of the
+    cutoff, or the factors are zero or too large to bound, is Y's spectrum
+    computed and counted directly.  When L is at least ``_COMPRESS_COLUMNS``,
+    Y is first reduced to the triangular factor R of one QR, and every
+    factorization runs on R's L+1 rows.  Complex eigenvalue pairs and poles
+    outside (0, 1 + 1e-9] are discarded with a warning, reducing the
+    reported order; poles within rounding of 1 are clamped to exactly 1
+    (the constant mode).  An order detected on Y beyond the L columns of Y0
     raises :class:`RankDeficiencyError`.
     """
     y = build_hankel(trace)
     length = y.shape[1] - 1
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
-    sigma_y = np.linalg.svd(y, compute_uv=False)
-    if not math.isfinite(sigma_y[0]):
-        raise PencilError(
-            f"the Hankel matrix's largest singular value overflows float64 "
-            f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
-        )
-    order = detect_order(sigma_y, _EPSILON)
+    factors = factor_pencil(y)
+    order = _order_from_factors(factors)
+    if order is None:
+        sigma_y = np.linalg.svd(y, compute_uv=False)
+        if not math.isfinite(sigma_y[0]):
+            raise PencilError(
+                f"the Hankel matrix's largest singular value overflows float64 "
+                f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
+            )
+        order = detect_order(sigma_y, _EPSILON)
     if order > length:
         raise RankDeficiencyError(
             f"order {order} detected on Y exceeds the {length} columns of Y0"
         )
     poles, truncated = np.zeros(0), None
     if order:
-        eigvals, truncated = estimate_poles(y, order)
+        eigvals, truncated = estimate_poles(factors, order)
         imag_ok = np.abs(eigvals.imag) <= _REALNESS_TOL * np.abs(eigvals)
         if not imag_ok.all():
             warnings.warn(
@@ -279,7 +360,7 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
         order=poles.size,
         poles=poles,
         rates=poles_to_rates(poles, trace.period),
-        singular_values=sigma_y,
+        singular_values=factors.sv,
         truncated_pencil=truncated,
         pencil_parameter=length,
         sample_count=trace.values.size,

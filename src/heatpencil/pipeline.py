@@ -332,13 +332,19 @@ def gcv_select(
     if rank == 0:
         raise ValueError("cannot cross-validate an all-zero matrix")
     rank = min(rank, n - 1)
-    projections = u.T @ rhs
     curve = np.empty(rank)
+    k = 1
     try:
         with np.errstate(over="raise"):
+            # A projection or quotient past float64 overflows the rank-1
+            # residual too, so the refusal names rank 1: a quotient at j >= 1
+            # needs |projections[j]| > 1.8e308 s[j], which that residual
+            # holds, past float64 for any s[j] > 1e-154.
+            projections = u.T @ rhs
+            coefficients = projections[:rank] / s[:rank]
             for k in range(1, rank + 1):
-                solution = vt[:k].T @ (projections[:k] / s[:k])
-                residual = float(np.sum((matrix @ solution - rhs) ** 2))
+                solution = vt[:k].T @ coefficients[:k]
+                residual = ((matrix @ solution - rhs) ** 2).sum()
                 curve[k - 1] = residual / (n - k) ** 2
     except FloatingPointError:
         raise IdentificationError(

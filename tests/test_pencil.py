@@ -1,14 +1,17 @@
 import ast
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatpencil import pencil, reference
 from heatpencil.bounds import build_certificate, certificate_inputs
-from heatpencil.model import HeatProblem, SampleTrace, sample
+from heatpencil.model import HeatProblem, SampleTrace, sample, sample_windows
 from heatpencil.pencil import (
     DegenerateRatesError,
     PencilError,
@@ -18,6 +21,7 @@ from heatpencil.pencil import (
     build_hankel,
     detect_order,
     estimate_poles,
+    factor_pencil,
     fit_amplitudes,
     poles_to_rates,
     resolve_pencil_parameter,
@@ -55,7 +59,7 @@ class TestBuildHankel:
         trace = SampleTrace(0.0, 1.0, y)
         hankel = build_hankel(trace)
         assert hankel.shape == (8, 5)
-        _, truncated = estimate_poles(hankel, 2)
+        _, truncated = estimate_poles(factor_pencil(hankel), 2)
         rows, length = truncated.y0.shape
         assert (rows, length) == (8, 4)
         for r in range(rows):
@@ -82,7 +86,7 @@ class TestBuildHankel:
 
     def test_pencil_blocks_are_contiguous_copies(self):
         trace = SampleTrace(0.0, 1.0, np.arange(12.0))
-        _, truncated = estimate_poles(build_hankel(trace), 2)
+        _, truncated = estimate_poles(factor_pencil(build_hankel(trace)), 2)
         for block in (truncated.y0, truncated.y1):
             assert block.flags.c_contiguous
             assert not np.shares_memory(block, trace.values)
@@ -90,7 +94,7 @@ class TestBuildHankel:
     def test_shift_identity(self):
         rng = np.random.default_rng(0)
         trace = SampleTrace(0.0, 1.0, rng.standard_normal(30))
-        _, truncated = estimate_poles(build_hankel(trace), 3)
+        _, truncated = estimate_poles(factor_pencil(build_hankel(trace)), 3)
         np.testing.assert_array_equal(truncated.y1[:, 1:], truncated.y0[:, :-1])
 
     def test_default_split_for_fifty_samples(self):
@@ -134,7 +138,7 @@ class TestDetectOrder:
 class TestEstimatePoles:
     def test_two_exponentials_recovered_exactly(self):
         trace = exp_trace([3.0, 2.0], [0.5, 0.25], 12)
-        poles, truncated = estimate_poles(build_hankel(trace), 2)
+        poles, truncated = estimate_poles(factor_pencil(build_hankel(trace)), 2)
         np.testing.assert_allclose(poles.real, [0.5, 0.25], atol=1e-10)
         assert np.all(np.abs(poles.imag) < 1e-12)
         assert truncated.sv[-1] > 0
@@ -145,7 +149,7 @@ class TestEstimatePoles:
 
     def test_constant_signal_gives_unit_pole(self):
         trace = SampleTrace(0.0, 1.0, np.full(12, 7.5))
-        poles, _ = estimate_poles(build_hankel(trace), 1)
+        poles, _ = estimate_poles(factor_pencil(build_hankel(trace)), 1)
         assert poles[0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_overstated_order_on_exact_zero_sigma(self):
@@ -155,14 +159,14 @@ class TestEstimatePoles:
         hankel = build_hankel(SampleTrace(0.0, 1.0, values))
         assert svdvals(hankel[:, -2::-1])[1] == 0.0
         with pytest.raises(RankDeficiencyError):
-            estimate_poles(hankel, 2)
+            estimate_poles(factor_pencil(hankel), 2)
 
     def test_order_bounds_validated(self):
         hankel = build_hankel(exp_trace([1.0], [0.5], 12))
         with pytest.raises(ValueError):
-            estimate_poles(hankel, 0)
+            estimate_poles(factor_pencil(hankel), 0)
         with pytest.raises(ValueError):
-            estimate_poles(hankel, 99)
+            estimate_poles(factor_pencil(hankel), 99)
 
 
 class TestPolesToRates:
@@ -336,7 +340,7 @@ class TestCompressedPath:
             assert compressed.order == direct.order == 2
             np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
             np.testing.assert_allclose(compressed.rates, direct.rates, rtol=1e-12, atol=0)
-            sigma = svdvals(build_hankel(trace))
+            sigma = svdvals(build_hankel(trace)[:, :-1])  # Y0's spectrum
             np.testing.assert_allclose(
                 compressed.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0]
             )
@@ -390,6 +394,114 @@ class TestCompressedPath:
         assert resolve_pencil_parameter(79) < pencil._COMPRESS_COLUMNS
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def order_cases(draw):
+    """Exponential sums on the direct or the compressed path: a few modes at
+    any poles, or many modes whose rates grow like n**2 with weights falling
+    like 1/n**2, as in the flux-step window, whose spectra fall slowly
+    through the cutoff; scaled, and optionally with absolute Gaussian noise."""
+    count = draw(st.integers(9, 141) | st.integers(3 * pencil._COMPRESS_COLUMNS - 2, 330))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        poles = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        amps = [draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in poles]
+    else:
+        rate = draw(log_uniform(1e-4, 1e-1))
+        n = np.arange(draw(st.integers(8, 30)))
+        poles = np.exp(-rate * n * n)
+        amps = draw(st.sampled_from([-1.0, 1.0])) ** n / (n * n + 1.0)
+    k = np.arange(count)
+    clean = sum(a * z**k for a, z in zip(amps, poles))
+    noise = draw(st.just(0.0) | log_uniform(1e-12, 1e-4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(log_uniform(1e-6, 1e6)) * clean + noise * rng.standard_normal(count)
+    return SampleTrace(0.0, 1.0, values)
+
+
+def count_svds(monkeypatch):
+    """Record, per ``np.linalg.svd`` call, whether it computed vectors."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestOrderFromY0:
+    """The order on Y is read off the pole solve's SVD of Y0; Y's own
+    spectrum is computed only near the cutoff."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(order_cases())
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # discarded poles of noisy traces
+    def test_order_is_the_count_on_y(self, trace):
+        y = build_hankel(trace)
+        length = y.shape[1] - 1
+        if length >= pencil._COMPRESS_COLUMNS:
+            y = np.linalg.qr(y, mode="r")
+        expected = detect_order(svdvals(y), pencil._EPSILON)
+        # decided or left to Y's spectrum, never decided otherwise
+        assert pencil._order_from_factors(factor_pencil(y)) in (None, expected)
+        if expected > length:
+            message = f"order {expected} detected on Y exceeds the {length} columns of Y0"
+            with pytest.raises(RankDeficiencyError, match=re.escape(message)):
+                analyze(trace)
+            return
+        truncated = analyze(trace).truncated_pencil
+        assert (0 if truncated is None else truncated.sv.size) == expected
+
+    @pytest.mark.parametrize("ratio,svds", [(1.004e-10, [True, False]), (1.1e-10, [True])])
+    def test_cutoff_band_costs_one_values_only_svd(self, ratio, svds, monkeypatch):
+        # sigma_2(Y) / sigma_1(Y) placed at ``ratio``: inside the band Y's
+        # spectrum decides the order, outside it Y0's factors do
+        def trace(weight):
+            return exp_trace([1.0, weight], [0.9, 0.5], 30)
+
+        def sigma_ratio(weight):
+            sigma = svdvals(build_hankel(trace(weight)))
+            return sigma[1] / sigma[0]
+
+        weight = 1e-10 * ratio / sigma_ratio(1e-10)
+        assert sigma_ratio(weight) == pytest.approx(ratio, rel=1e-4)
+        calls = count_svds(monkeypatch)
+        est = analyze(trace(weight))
+        assert calls == svds
+        assert est.order == 2
+
+    def test_lone_last_sample_refused_as_rank_deficient(self, monkeypatch):
+        # Y0 is zero and Y holds one nonzero entry: Y's order is 1, which
+        # Y0 cannot carry
+        values = np.zeros(12)
+        values[-1] = 1.0
+        calls = count_svds(monkeypatch)
+        with pytest.raises(
+            RankDeficiencyError,
+            match=re.escape("order 1 exceeds the rank of the data (sigma_1 = 0)"),
+        ):
+            analyze(SampleTrace(0.0, 1.0, values))
+        assert calls == [True, False]
+
+    @pytest.mark.parametrize("scale", [1e155, 1e305, 1e306, 1e307])
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")
+    def test_traces_too_large_to_bound_count_on_y(self, scale, monkeypatch):
+        # s_1 * |Y| past float64: the order is counted on Y's spectrum,
+        # with no RuntimeWarning (an error in this suite)
+        step = sample_windows(reference.reference_problem(), 50, 50, 0.01, 79)[1]
+        trace = SampleTrace(step.t_start, step.period, step.values * scale)
+        calls = count_svds(monkeypatch)
+        est = analyze(trace)
+        assert calls == [True, False]
+        assert est.truncated_pencil.sv.size == 6
+
+
 class TestShiftPencilIdentity:
     def test_nonzero_eigenvalues_of_pinv_product(self):
         # oracle: eigen-solve the explicitly formed pseudoinverse product
@@ -401,7 +513,7 @@ class TestShiftPencilIdentity:
                 poles = np.sort(rng.uniform(0.2, 0.95, m))[::-1]
             amps = rng.uniform(0.5, 2.0, m) * rng.choice([-1, 1], m)
             trace = exp_trace(amps, poles, 18)
-            _, truncated = estimate_poles(build_hankel(trace), m)
+            _, truncated = estimate_poles(factor_pencil(build_hankel(trace)), m)
             product = np.linalg.pinv(truncated.y0, rcond=1e-12) @ truncated.y1
             eigvals = np.linalg.eigvals(product)
             big = np.sort(eigvals.real[np.abs(eigvals) > 1e-6])[::-1]
