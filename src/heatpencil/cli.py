@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,8 +31,20 @@ class InputError(Exception):
     """Bad or missing user input (exit code 2)."""
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None: RFC 8259 JSON
+    has no token for inf or NaN, and standard readers refuse ``Infinity``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(json.dumps(_finite_or_null(data), indent=2, allow_nan=False) + "\n")
 
 
 def _load_json(path: Path) -> dict:
@@ -301,7 +315,10 @@ def _bound_inputs_from_payload(data: dict, priors: tuple[float, float]) -> tuple
         sigma_m=field("sigma_M"),
         y1_norm=field("Y1_norm_2"),
         y0_trunc_gap=field("Y0M_gap_2"),
-        kappa_xm=field("kappa_XM"),
+        # null is how _write_json stores +inf, BoundInputs' numerically singular basis
+        kappa_xm=(
+            math.inf if "kappa_XM" in cert and cert["kappa_XM"] is None else field("kappa_XM")
+        ),
     )
     return (
         inputs,
@@ -478,15 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: ``parse_args`` leaves
+    it unchanged, and help and usage read the terminal width when printed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except (pipeline.IdentificationError, pencil.PencilError) as exc:
+        # first: ShortTraceError is a ValueError as well
+        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 2
     except (InputError, OSError, ValueError, model.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (pipeline.IdentificationError, pencil.PencilError) as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     except bounds.CertificateUnavailableError as exc:
         print(f"error: {exc}", file=sys.stderr)

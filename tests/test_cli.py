@@ -184,6 +184,24 @@ class TestIdentify:
         assert err.startswith("error (DegenerateRatesError): ")
         assert err.count("\n") == 1
 
+    def test_short_free_window_exits_two_with_the_type(self, workspace, capsys):
+        # ShortTraceError is a ValueError too, and still prints its type
+        traces_dir = run_simulate(workspace)
+        free = model.read_trace_csv(traces_dir / "free.csv")
+        short = model.SampleTrace(free.t_start, free.period, free.values[:8])
+        model.write_trace_csv(traces_dir / "free.csv", short)
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error (ShortTraceError): need at least 9 samples to form the pencil, got 8\n"
+        )
+        assert not (workspace / "result.json").exists()
+
     def test_mode_index_overflow_exits_two_with_one_line(self, workspace, capsys):
         # a free trace scaled by 1e150 gives alpha = 6.7e-151 and a mode
         # index of 2.4e75, refused before it can wrap in int64
@@ -302,6 +320,37 @@ class TestBounds:
         cert = json.loads(cert_path.read_text())
         assert cert.pop("manifest") == "manifest.json"
         block = json.loads(result.read_text())["certificate"]
+        assert list(cert.items()) == list(block.items())
+
+    def test_infinite_condition_number_is_written_as_null(self, tmp_path, capsys):
+        # a seed-1 benchmark problem whose one free mode has numerically
+        # singular eigenvectors: kappa_XM and the pole bounds are +inf
+        problem = HeatProblem(
+            7.875812270620443, {0: 9.38139555368721, 1: -5.983556121857667}, 0.3, 0.8, 1.3
+        )
+        model.save_problem(tmp_path / "problem.json", problem)
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"M0": 15.437037363092626, "alpha0": 5.906859202965332}))
+        traces = tmp_path / "traces"
+        assert main(
+            ["simulate", str(tmp_path / "problem.json"), "--out", str(traces),
+             "--n1", "50", "--n2", "50", "--t0", "0.01", "--n-rec", "79"]
+        ) == 0
+        result = tmp_path / "result.json"
+        assert main(["identify", str(traces), str(priors), "--out", str(result)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        block = json.loads(result.read_text(), parse_constant=refuse)["certificate"]
+        assert block["M"] == 1
+        for name in ("kappa_XM", "pole_bound", "pole_bound_general", "pole_bound_special"):
+            assert block[name] is None
+        cert_path = tmp_path / "certificate.json"
+        assert main(["bounds", str(result), str(priors), "--out", str(cert_path)]) == 0
+        assert capsys.readouterr().out.endswith("pole bound: inf\n")
+        cert = json.loads(cert_path.read_text(), parse_constant=refuse)
+        assert cert.pop("manifest") == "manifest.json"
         assert list(cert.items()) == list(block.items())
 
     def test_zero_norm_prior_gives_degenerate_bounds(self, workspace):
@@ -538,7 +587,7 @@ class TestArtifactFormats:
         assert (tmp_path / "u0.csv").read_text() == "\n".join([header, *u0_rows]) + "\n"
 
 
-def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys):
+def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeypatch):
     # main() is also called in process, several times in one: a run, an
     # argument error and another run in sequence must each behave as they
     # do in a fresh process.
@@ -570,6 +619,53 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys):
     assert (tmp_path / "bounds" / "certificate.json").read_bytes() == (
         tmp_path / "fresh" / "certificate.json"
     ).read_bytes()
+    # help wraps at the terminal width of the moment it is printed
+    for columns in ("80", "132"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        run = fresh("--help")
+        assert (run.returncode, run.stdout, run.stderr) == (0, captured.out, captured.err)
+    assert main(["repro-paper", "--out", str(tmp_path / "again")]) == 1
+    captured = capsys.readouterr()
+    run = fresh("repro-paper", "--out", str(tmp_path / "fresh-repro"))
+    assert (run.returncode, run.stdout, run.stderr) == (1, captured.out, captured.err)
+    assert artifacts(tmp_path / "again") == artifacts(tmp_path / "fresh-repro")
+
+
+def artifacts(folder):
+    """Every file under ``folder`` but the manifest, which records a timestamp."""
+    return {
+        str(path.relative_to(folder)): path.read_bytes()
+        for path in sorted(folder.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for _ in range(2):
+            assert main(["repro-paper", "--out", str(tmp_path / "repro")]) == 1
+            with pytest.raises(SystemExit):
+                main(["bounds", str(tmp_path / "repro" / "result.json")])
+            with pytest.raises(SystemExit):
+                main(["--help"])
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    # build_parser itself still hands each caller a parser of its own
+    assert build_parser() is not build_parser()
 
 
 class TestConsoleEntry:

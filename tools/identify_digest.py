@@ -11,9 +11,13 @@ the same script digests any two checkouts, including ones older than the
 script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 (seeds 1 and 2): a SHA-256 over every ``identify`` output of the pool, as
 ``to_dict()`` JSON, refusal type and message, and warnings.  A last line
-digests the artifacts of ``repro-paper``, ``identify --plot`` and ``bounds``
-on the reference data, ``manifest.json`` (which records a timestamp)
-excluded.  Two checkouts that print the same lines produced the same bits.
+digests ``repro-paper``, ``identify --plot`` and ``bounds`` on the reference
+data, run in process through ``cli.main``: their exit codes, what they print
+to stdout and stderr, and their artifacts, ``manifest.json`` (which records
+a timestamp) excluded.  The three commands run twice in the one process, and
+the script exits 1 if the second round differs from the first, so state that
+one ``cli.main`` call leaves for the next shows.  Two checkouts that print
+the same lines produced the same bits.
 
 The BLAS is pinned to one thread, as the benchmark pins it: the thread count
 moves the last bits of some results.  Only the standard library and the
@@ -73,6 +77,8 @@ def pool_digest(workloads, name: str, seed: int) -> str:
 
 
 def artifact_digest() -> str:
+    """One round of the reference commands in a fresh temporary folder, whose
+    name is taken out of what they print."""
     from heatpencil import cli, reference
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,9 +94,12 @@ def artifact_digest() -> str:
             ["bounds", str(out / "identify" / "result.json"), str(priors),
              "--out", str(out / "bounds" / "certificate.json")],
         )
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             codes = [cli.main(argv) for argv in commands]
         h = hashlib.sha256(json.dumps(codes).encode())
+        for stream in (stdout, stderr):
+            h.update(stream.getvalue().replace(tmp, "<tmp>").encode() + b"\0")
         for path in sorted(out.rglob("*")):
             if path.is_file() and path.name != "manifest.json":
                 h.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
@@ -103,7 +112,11 @@ def main(argv: list[str]) -> int:
     for seed in SEEDS:
         for name in POOLS:
             print(f"{name} seed {seed}: {pool_digest(workloads, name, seed)}", flush=True)
-    print(f"artifacts: {artifact_digest()}")
+    first, second = artifact_digest(), artifact_digest()
+    print(f"artifacts: {first}")
+    if second != first:
+        print(f"artifacts differ on a second round in this process: {second}", file=sys.stderr)
+        return 1
     return 0
 
 
