@@ -28,6 +28,18 @@ class CertificateUnavailableError(RuntimeError):
     """The bounds' premises fail: rho >= 1, 9 samples or fewer, or no signal."""
 
 
+def _check_priors(m0: float, alpha0: float) -> None:
+    """Refuse priors that no certificate can use: the norm bound m0 must be
+    finite and nonnegative, the diffusivity bound alpha0 finite and positive."""
+    for name, value in (("m0", m0), ("alpha0", alpha0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if m0 < 0:
+        raise ValueError(f"norm prior must be nonnegative, got {m0}")
+    if alpha0 <= 0:
+        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """A priori data plus pencil diagnostics feeding the certificate.
@@ -54,14 +66,13 @@ class BoundInputs:
     kappa_xm: float
 
     def __post_init__(self) -> None:
-        for name in ("m0", "alpha0", "t1", "ts", "sigma_m", "y1_norm", "y0_trunc_gap"):
+        _check_priors(self.m0, self.alpha0)
+        for name in ("t1", "ts", "sigma_m", "y1_norm", "y0_trunc_gap"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if math.isnan(self.kappa_xm):
             raise ValueError("kappa_xm must not be NaN")
-        if self.m0 < 0:
-            raise ValueError(f"norm prior must be nonnegative, got {self.m0}")
-        for name in ("alpha0", "t1", "ts"):
+        for name in ("t1", "ts"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.m < 1:

@@ -2,8 +2,9 @@
 
 Every subcommand writes a ``manifest.json`` into its output directory
 recording the tool version, timestamp, inputs, resolved parameters, and the
-artifacts produced.  The data artifacts themselves are byte-deterministic
-for identical inputs; the timestamp lives only in the manifest.
+artifacts produced, by their paths relative to the manifest's folder.  The
+data artifacts themselves are byte-deterministic for identical inputs; the
+timestamp lives only in the manifest.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 input error,
 3 certificate unavailable.
@@ -16,6 +17,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +101,23 @@ _SVG_W, _SVG_H = 800, 600
 _MARGIN = 70
 
 
+def _interleave(*columns) -> tuple:
+    """The columns' entries row by row, the arguments of one ``%`` over all rows."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        flat[j::len(columns)] = column
+    return tuple(flat)
+
+
+@functools.lru_cache(maxsize=4)
+def _pixel_text(pixels: bytes) -> tuple[str, ...]:
+    """The ``%.2f`` text of a float64 pixel abscissa, given as its bytes.
+    The last few are kept: plots share abscissas, and every u0 plot is drawn
+    on the profile grid."""
+    values = np.frombuffer(pixels).tolist()
+    return tuple(("%.2f " * len(values) % tuple(values)).split())
+
+
 def _svg_line_plot(
     series: list[tuple[np.ndarray, np.ndarray, str, str]],
     title: str,
@@ -162,8 +181,8 @@ def _svg_line_plot(
     colors_used = []
     for xs, ys, color, label in series:
         ys_t = np.log10(np.maximum(ys, 1e-300)) if log_y else ys
-        flat = np.column_stack((sx(xs), sy(ys_t))).ravel().tolist()
-        points = ("%.2f,%.2f " * len(xs) % tuple(flat))[:-1]
+        x_text = _pixel_text(sx(xs).astype(float, copy=False).tobytes())
+        points = ("%s,%.2f " * len(xs) % _interleave(x_text, sy(ys_t).tolist()))[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -182,17 +201,26 @@ def _svg_line_plot(
     return "\n".join(parts) + "\n"
 
 
-def _csv_text(header: str, row_format: str, *columns: np.ndarray) -> str:
-    """A header line, then ``row_format`` applied to each row of the columns,
-    formatted by one ``%`` over all rows."""
-    flat = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + row_format * len(columns[0]) % tuple(flat)
+def _csv_text(header: str, row_format: str, *columns: list | tuple) -> str:
+    """A header line, then ``row_format`` applied to each row of the columns
+    (lists of numbers or of formatted text), formatted by one ``%`` over all
+    rows."""
+    return header + "\n" + row_format * len(columns[0]) % _interleave(*columns)
+
+
+@functools.cache
+def _profile_grid_text() -> tuple[str, ...]:
+    """The profile grid's ``%.17g`` text, the first column of ``u0.csv``."""
+    grid = model._profile_grid()
+    return tuple(("%.17g\n" * grid.size % tuple(grid.tolist())).split())
 
 
 def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | None) -> list[str]:
     plot_dir.mkdir(parents=True, exist_ok=True)
     ks = np.arange(1, result.gcv_curve.size + 1)
-    (plot_dir / "gcv.csv").write_text(_csv_text("k,G", "%d,%.17g\n", ks, result.gcv_curve))
+    (plot_dir / "gcv.csv").write_text(
+        _csv_text("k,G", "%d,%.17g\n", ks.tolist(), result.gcv_curve.tolist())
+    )
     (plot_dir / "gcv.svg").write_text(
         _svg_line_plot(
             [(ks.astype(float), result.gcv_curve, "#1f77b4", "")],
@@ -202,17 +230,15 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
             log_y=True,
         )
     )
-    x = np.linspace(0.0, 1.0, 1001)
-    u0_hat = model.evaluate_cosine_series(
-        {n: c for n, c in enumerate(result.u0_coeffs_hat)}, x
-    )
+    x = model._profile_grid()
+    u0_hat = model._profile(dict(enumerate(result.u0_coeffs_hat)))
     series = [(x, u0_hat, "#d62728", "reconstructed")]
-    header, columns = "x,u0_hat", [x, u0_hat]
+    header, columns = "x,u0_hat", [_profile_grid_text(), u0_hat.tolist()]
     if reference_problem is not None:
-        ref_vals = model.evaluate_cosine_series(reference_problem.u0_coeffs, x)
+        ref_vals = model._profile(reference_problem.u0_coeffs)
         series.append((x, ref_vals, "#1f77b4", "reference"))
-        header, columns = header + ",u0_ref", columns + [ref_vals]
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+        header, columns = header + ",u0_ref", columns + [ref_vals.tolist()]
+    row_format = "%s" + ",%.17g" * (len(columns) - 1) + "\n"
     (plot_dir / "u0.csv").write_text(_csv_text(header, row_format, *columns))
     (plot_dir / "u0.svg").write_text(
         _svg_line_plot(
@@ -279,7 +305,11 @@ def _cmd_identify(args) -> int:
     _write_json(out_path, payload)
     outputs = [out_path.name]
     if args.plot:
-        outputs += _emit_plots(Path(args.plot), result, ref_problem)
+        plot_dir = Path(args.plot)
+        outputs += [
+            os.path.relpath(plot_dir / name, out_path.parent)
+            for name in _emit_plots(plot_dir, result, ref_problem)
+        ]
     _write_manifest(
         out_path.parent,
         "identify",

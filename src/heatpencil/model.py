@@ -13,6 +13,7 @@ downstream estimator tests meaningful.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,11 @@ _QUAD_MAX_PANELS = 2**14
 _QUAD_TOL = 1e-10
 
 _CSV_BLOCK_ROWS = 2**16  # trace rows formatted per write; bounds the text held
+
+# Profiles are plotted and compared on one uniform grid on [0, 1]; the most
+# recently used cos(n*pi*x) rows on it are kept, 8 KB each.
+_PROFILE_POINTS = 1001
+_PROFILE_ROWS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -164,6 +170,30 @@ def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:
     for n, c in sorted(coeffs.items()):
         total = total + c * np.cos(n * math.pi * x)
     return total if total.ndim else float(total)
+
+
+@functools.cache
+def _profile_grid() -> np.ndarray:
+    """The profile grid, built once per process and read-only."""
+    grid = np.linspace(0.0, 1.0, _PROFILE_POINTS)
+    grid.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=_PROFILE_ROWS)
+def _cosine_row(n) -> np.ndarray:
+    row = np.cos(n * math.pi * _profile_grid())
+    row.flags.writeable = False
+    return row
+
+
+def _profile(coeffs: Mapping[int, float]) -> np.ndarray:
+    """``evaluate_cosine_series(coeffs, _profile_grid())`` bit for bit: the
+    same mode-ordered sum, over cached rows."""
+    total = np.zeros(_PROFILE_POINTS)
+    for n, c in sorted(coeffs.items()):
+        total = total + c * _cosine_row(n)
+    return total
 
 
 def cosine_coefficients(u0: Callable[[float], float], n_max: int) -> dict[int, float]:

@@ -393,12 +393,16 @@ def identify(
     ``trace_free`` covers the flux-free window, ``trace_step`` the flux-step
     window (its start time is taken as the flux switch time), and
     ``trace_rec`` the early reconstruction window.  ``priors`` is the
-    ``(m0, alpha0)`` pair needed for the error certificate; without it the
-    certificate is omitted.  An initial state exciting no detectable free
-    mode is tolerated: the diffusivity still comes from the controlled
-    window and the reconstruction proceeds.
+    ``(m0, alpha0)`` pair needed for the error certificate, checked before
+    any window is analyzed; without it the certificate is omitted.  An
+    initial state exciting no detectable free mode is tolerated: the
+    diffusivity still comes from the controlled window and the
+    reconstruction proceeds.
     """
     config = config or PipelineConfig()
+    if priors is not None:
+        m0, alpha0 = priors
+        bounds._check_priors(m0, alpha0)
     if not (0 < trace_rec.t_start < trace_step.t_start):
         raise IdentificationError(
             f"reconstruction window must start inside (0, t2), "
@@ -429,7 +433,6 @@ def identify(
 
     certificate = None
     if priors is not None and free is not None:
-        m0, alpha0 = priors
         certificate = _certificate_for(
             free, trace_free, free_modes, alpha_hat, m0, alpha0
         )

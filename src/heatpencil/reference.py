@@ -27,12 +27,14 @@ the acceptance suite still compare against them and report the misses):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PI_SQ, HeatProblem, evaluate_cosine_series
+from . import model
+from .model import PI_SQ, HeatProblem
 from .pipeline import PipelineConfig
 
 REFERENCE_ALPHA = 4.0
@@ -247,11 +249,17 @@ def compare_reference_run(result, u0_rel_l2_error: float) -> list[FieldCheck]:
     return checks
 
 
-def u0_reconstruction_error(u0_coeffs_hat: np.ndarray, grid_points: int = 1001) -> float:
-    """Relative L2 error of the reconstructed profile on a uniform grid."""
-    x = np.linspace(0.0, 1.0, grid_points)
-    truth = reference_u0(x)
-    estimate = evaluate_cosine_series(
-        {n: c for n, c in enumerate(u0_coeffs_hat)}, x
-    )
-    return float(np.linalg.norm(estimate - truth) / np.linalg.norm(truth))
+@functools.cache
+def _reference_profile() -> tuple[np.ndarray, float]:
+    """The reference profile on the profile grid, read-only, and its 2-norm."""
+    truth = reference_u0(model._profile_grid())
+    truth.flags.writeable = False
+    return truth, np.linalg.norm(truth)
+
+
+def u0_reconstruction_error(u0_coeffs_hat: np.ndarray) -> float:
+    """Relative L2 error of the reconstructed profile on a uniform grid of
+    1001 points."""
+    truth, norm = _reference_profile()
+    estimate = model._profile(dict(enumerate(u0_coeffs_hat)))
+    return float(np.linalg.norm(estimate - truth) / norm)

@@ -270,6 +270,45 @@ class TestIdentify:
         assert "must be finite" in err
         assert not (workspace / "result.json").exists()
 
+    @pytest.mark.parametrize("profile", [{}, None], ids=["no-mode", "reference"])
+    @pytest.mark.parametrize("priors,message", [
+        ({"M0": -1.0, "alpha0": 3.0}, "norm prior must be nonnegative, got -1.0"),
+        ({"M0": 15.0, "alpha0": 0.0}, "alpha0 must be positive, got 0.0"),
+    ])
+    def test_unusable_priors_exit_two_with_one_line(
+        self, workspace, capsys, profile, priors, message
+    ):
+        if profile is not None:  # a profile whose free window shows no mode
+            problem = HeatProblem(4.0, profile, 0.3, 0.8, 1.3)
+            model.save_problem(workspace / "problem.json", problem)
+        traces_dir = run_simulate(workspace)
+        (workspace / "bad.json").write_text(json.dumps(priors))
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "bad.json"),
+                "--out", str(workspace / "result.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "result.json").exists()
+
+    @pytest.mark.parametrize("plots", ["plots", "out", "out/plots"])
+    def test_manifest_lists_plots_by_their_path(self, workspace, plots):
+        traces_dir = run_simulate(workspace)
+        out = workspace / "out" / "result.json"
+        rc = main(
+            [
+                "identify", str(traces_dir), str(workspace / "priors.json"),
+                "--out", str(out), "--plot", str(workspace / plots),
+            ]
+        )
+        assert rc == 0
+        listed = json.loads((out.parent / "manifest.json").read_text())["outputs"]
+        assert len(listed) == 5
+        for name in listed:
+            assert (out.parent / name).is_file()
+
     def test_byte_identical_result(self, workspace):
         traces_dir = run_simulate(workspace)
         out = workspace / "result.json"
@@ -554,8 +593,10 @@ class TestArtifactFormats:
         rng = np.random.default_rng(11)
         for scale in (1e-3, 1.0, 1e6):
             xs = np.sort(rng.uniform(-2.0, 3.0, 700))
+            # the third series shares the first one's abscissa, whose text is kept
             series = [
-                (xs, rng.standard_normal(700) * scale), (xs[::2], rng.exponential(scale, 350))
+                (xs, rng.standard_normal(700) * scale), (xs[::2], rng.exponential(scale, 350)),
+                (xs, rng.exponential(scale, 700)),
             ]
             if log_y:
                 series = [(x, np.abs(y)) for x, y in series]
@@ -619,6 +660,17 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeyp
     assert (tmp_path / "bounds" / "certificate.json").read_bytes() == (
         tmp_path / "fresh" / "certificate.json"
     ).read_bytes()
+    # the u0 plot against a problem file, after repro-paper drew its own
+    overlay = [
+        "identify", str(repro), str(priors), "--reference-problem", str(repro / "problem.json")
+    ]
+    assert main([*overlay, "--out", str(tmp_path / "ident" / "result.json"),
+                 "--plot", str(tmp_path / "ident" / "plots")]) == 0
+    captured = capsys.readouterr()
+    run = fresh(*overlay, "--out", str(tmp_path / "fresh-ident" / "result.json"),
+                "--plot", str(tmp_path / "fresh-ident" / "plots"))
+    assert (run.returncode, run.stdout, run.stderr) == (0, captured.out, captured.err)
+    assert artifacts(tmp_path / "ident") == artifacts(tmp_path / "fresh-ident")
     # help wraps at the terminal width of the moment it is printed
     for columns in ("80", "132"):
         monkeypatch.setenv("COLUMNS", columns)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from heatpencil import model, reference
@@ -592,3 +594,32 @@ class TestSampleTrace:
         trace = SampleTrace(0.3, 0.01, np.zeros(3))
         with pytest.raises(ValueError):
             trace.values[0] = 1.0
+
+
+@st.composite
+def coefficient_maps(draw):
+    """Modes 0-150, more than the row cache holds, with Python or numpy
+    floats of either sign, zeros among them."""
+    modes = draw(st.lists(st.integers(0, 150), max_size=60, unique=True))
+    values = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0])
+    return {n: draw(st.sampled_from([float, np.float64]))(draw(values)) for n in modes}
+
+
+class TestProfileGrid:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(coefficient_maps())
+    @example({n: (-1.0) ** n / (n + 1) for n in range(151)})
+    @example({n: np.float64(n - 75.5) for n in range(150, -1, -3)})
+    def test_cached_rows_sum_as_the_series_evaluator(self, coeffs):
+        on_grid = model._profile(coeffs)
+        expected = evaluate_cosine_series(coeffs, np.linspace(0.0, 1.0, 1001))
+        assert on_grid.tobytes() == expected.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        grid = model._profile_grid()
+        assert grid.tobytes() == np.linspace(0.0, 1.0, 1001).tobytes()
+        truth, norm = reference._reference_profile()
+        assert norm == np.linalg.norm(reference.reference_u0(grid))
+        for array in (grid, model._cosine_row(7), truth):
+            with pytest.raises(ValueError):
+                array[0] = 1.0

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heatpencil import pencil, reference
+from heatpencil import pencil, pipeline, reference
 from heatpencil.model import HeatProblem, SampleTrace, TraceError, control_bracket, sample_windows
 from heatpencil.pipeline import (
     AlphaUnrecoverableError,
@@ -465,6 +465,28 @@ class TestIdentify:
         assert result.alpha_hat == pytest.approx(4.0, abs=1e-6)
         assert np.max(np.abs(result.u0_coeffs_hat)) < 1e-12
         assert result.certificate is None
+
+    @pytest.mark.parametrize("priors,message", [
+        ((math.nan, 3.0), "m0 must be finite, got nan"),
+        ((-1.0, 3.0), "norm prior must be nonnegative, got -1.0"),
+        ((15.0, 0.0), "alpha0 must be positive, got 0.0"),
+    ])
+    @pytest.mark.parametrize("problem", [
+        HeatProblem(4.0, {}, 0.3, 0.8, 1.3), reference.reference_problem()
+    ], ids=["no-mode", "reference"])
+    def test_unusable_priors_refused_before_any_window(
+        self, monkeypatch, problem, priors, message
+    ):
+        # the no-mode problem certifies nothing, so only the entry check sees them
+        traces = traces_for(problem)
+
+        def analyzed(trace):
+            raise AssertionError("a window was analyzed")
+
+        monkeypatch.setattr(pipeline, "free_window_spectrum", analyzed)
+        with pytest.raises(ValueError) as exc:
+            identify(*traces, None, priors)
+        assert str(exc.value) == message
 
     def test_certificate_only_with_priors(self):
         problem = HeatProblem(4.0, {0: 0.5, 1: -2.0}, 0.3, 0.8, 1.3)

@@ -11,12 +11,14 @@ the same script digests any two checkouts, including ones older than the
 script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 (seeds 1 and 2): a SHA-256 over every ``identify`` output of the pool, as
 ``to_dict()`` JSON, refusal type and message, and warnings.  A last line
-digests ``repro-paper``, ``identify --plot`` and ``bounds`` on the reference
-data, run in process through ``cli.main``: their exit codes, what they print
-to stdout and stderr, and their artifacts, ``manifest.json`` (which records
-a timestamp) excluded.  The three commands run twice in the one process, and
-the script exits 1 if the second round differs from the first, so state that
-one ``cli.main`` call leaves for the next shows.  Two checkouts that print
+digests ``repro-paper``, ``identify --plot``, ``identify --plot
+--reference-problem`` and ``bounds`` on the reference data, run in process
+through ``cli.main``: their exit codes, what they print to stdout and
+stderr, and their artifacts, ``manifest.json`` (which records a timestamp)
+excluded.  The u0 plot is thus drawn against the built-in reference, a
+problem file's and none.  The four commands run twice in the one process,
+and the script exits 1 if the second round differs from the first, so state
+that one ``cli.main`` call leaves for the next shows.  Two checkouts that print
 the same lines produced the same bits.
 
 The BLAS is pinned to one thread, as the benchmark pins it: the thread count
@@ -91,6 +93,10 @@ def artifact_digest() -> str:
             ["repro-paper", "--out", str(out / "repro")],
             ["identify", str(out / "repro"), str(priors),
              "--out", str(out / "identify" / "result.json"), "--plot", str(out / "plots")],
+            ["identify", str(out / "repro"), str(priors),
+             "--out", str(out / "identify-ref" / "result.json"),
+             "--plot", str(out / "plots-ref"),
+             "--reference-problem", str(out / "repro" / "problem.json")],
             ["bounds", str(out / "identify" / "result.json"), str(priors),
              "--out", str(out / "bounds" / "certificate.json")],
         )
