@@ -110,12 +110,12 @@ def _interleave(*columns) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
-def _pixel_text(pixels: bytes) -> tuple[str, ...]:
-    """The ``%.2f`` text of a float64 pixel abscissa, given as its bytes.
-    The last few are kept: plots share abscissas, and every u0 plot is drawn
-    on the profile grid."""
-    values = np.frombuffer(pixels).tolist()
-    return tuple(("%.2f " * len(values) % tuple(values)).split())
+def _column_text(fmt: str, column: bytes) -> tuple[str, ...]:
+    """The ``fmt`` text of each entry of a float64 column, given as its bytes.
+    The last few are kept: every u0 plot and its CSV twin share the profile
+    grid, as ``%.17g`` text and as ``%.2f`` pixel abscissae."""
+    values = np.frombuffer(column).tolist()
+    return tuple(((fmt + " ") * len(values) % tuple(values)).split())
 
 
 def _svg_line_plot(
@@ -181,7 +181,7 @@ def _svg_line_plot(
     colors_used = []
     for xs, ys, color, label in series:
         ys_t = np.log10(np.maximum(ys, 1e-300)) if log_y else ys
-        x_text = _pixel_text(sx(xs).astype(float, copy=False).tobytes())
+        x_text = _column_text("%.2f", sx(xs).astype(float, copy=False).tobytes())
         points = ("%s,%.2f " * len(xs) % _interleave(x_text, sy(ys_t).tolist()))[:-1]
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -208,13 +208,6 @@ def _csv_text(header: str, row_format: str, *columns: list | tuple) -> str:
     return header + "\n" + row_format * len(columns[0]) % _interleave(*columns)
 
 
-@functools.cache
-def _profile_grid_text() -> tuple[str, ...]:
-    """The profile grid's ``%.17g`` text, the first column of ``u0.csv``."""
-    grid = model._profile_grid()
-    return tuple(("%.17g\n" * grid.size % tuple(grid.tolist())).split())
-
-
 def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | None) -> list[str]:
     plot_dir.mkdir(parents=True, exist_ok=True)
     ks = np.arange(1, result.gcv_curve.size + 1)
@@ -230,10 +223,10 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
             log_y=True,
         )
     )
-    x = model._profile_grid()
+    x = model._PROFILE_GRID
     u0_hat = model._profile(dict(enumerate(result.u0_coeffs_hat)))
     series = [(x, u0_hat, "#d62728", "reconstructed")]
-    header, columns = "x,u0_hat", [_profile_grid_text(), u0_hat.tolist()]
+    header, columns = "x,u0_hat", [_column_text("%.17g", x.tobytes()), u0_hat.tolist()]
     if reference_problem is not None:
         ref_vals = model._profile(reference_problem.u0_coeffs)
         series.append((x, ref_vals, "#1f77b4", "reference"))
@@ -258,12 +251,12 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
 def _cmd_simulate(args) -> int:
     if args.n1 < 9 or args.n2 < 9:
         raise InputError("window sample counts must be at least 9")
-    if args.n_rec < 1:
-        raise InputError("reconstruction sample count must be at least 1")
+    if args.n_rec < 2:  # a trace needs two samples to fix its period
+        raise InputError("reconstruction sample count must be at least 2")
     problem = model.load_problem(args.problem)
+    windows = model.sample_windows(problem, args.n1, args.n2, args.t0, args.n_rec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    windows = model.sample_windows(problem, args.n1, args.n2, args.t0, args.n_rec)
     traces = dict(zip(_TRACE_FILES, windows))
     for name, trace in traces.items():
         model.write_trace_csv(out_dir / name, trace)
@@ -296,8 +289,7 @@ def _cmd_identify(args) -> int:
     trace_free, trace_step, trace_rec = _read_traces(traces_dir)
     priors = _load_priors(Path(args.priors))
     ref_problem = model.load_problem(args.reference_problem) if args.reference_problem else None
-    cfg = pipeline.PipelineConfig()
-    result = pipeline.identify(trace_free, trace_step, trace_rec, cfg, priors)
+    result = pipeline.identify(trace_free, trace_step, trace_rec, priors=priors)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     payload = result.to_dict()
@@ -408,11 +400,11 @@ def _cmd_repro_paper(args) -> int:
     for name, trace in zip(_TRACE_FILES, traces):
         model.write_trace_csv(out_dir / name, trace)
 
-    result = pipeline.identify(*traces, reference.reference_config(), reference.REFERENCE_PRIORS)
+    result = pipeline.identify(*traces, priors=reference.REFERENCE_PRIORS)
     payload = result.to_dict()
     payload["manifest"] = _MANIFEST_NAME
     _write_json(out_dir / "result.json", payload)
-    _emit_plots(out_dir, result, problem)
+    plots = _emit_plots(out_dir, result, problem)
 
     u0_err = reference.u0_reconstruction_error(result.u0_coeffs_hat)
     checks = reference.compare_reference_run(result, u0_err)
@@ -469,10 +461,7 @@ def _cmd_repro_paper(args) -> int:
         inputs={},
         parameters={"alpha": problem.alpha, "M0": reference.REFERENCE_PRIORS[0],
                     "alpha0": reference.REFERENCE_PRIORS[1]},
-        outputs=sorted(
-            ["problem.json", *_TRACE_FILES, "result.json",
-             "report.md", "gcv.svg", "gcv.csv", "u0.svg", "u0.csv"]
-        ),
+        outputs=sorted(["problem.json", *_TRACE_FILES, "result.json", "report.md", *plots]),
     )
     print(report, end="")
     return 0 if not misses else 1

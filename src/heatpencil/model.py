@@ -46,9 +46,10 @@ _QUAD_TOL = 1e-10
 
 _CSV_BLOCK_ROWS = 2**16  # trace rows formatted per write; bounds the text held
 
-# Profiles are plotted and compared on one uniform grid on [0, 1]; the most
-# recently used cos(n*pi*x) rows on it are kept, 8 KB each.
-_PROFILE_POINTS = 1001
+# Profiles are plotted and compared on one read-only uniform grid on [0, 1];
+# the most recently used cos(n*pi*x) rows on it are kept, 8 KB each.
+_PROFILE_GRID = np.linspace(0.0, 1.0, 1001)
+_PROFILE_GRID.flags.writeable = False
 _PROFILE_ROWS = 64
 
 
@@ -172,25 +173,17 @@ def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:
     return total if total.ndim else float(total)
 
 
-@functools.cache
-def _profile_grid() -> np.ndarray:
-    """The profile grid, built once per process and read-only."""
-    grid = np.linspace(0.0, 1.0, _PROFILE_POINTS)
-    grid.flags.writeable = False
-    return grid
-
-
 @functools.lru_cache(maxsize=_PROFILE_ROWS)
 def _cosine_row(n) -> np.ndarray:
-    row = np.cos(n * math.pi * _profile_grid())
+    row = np.cos(n * math.pi * _PROFILE_GRID)
     row.flags.writeable = False
     return row
 
 
 def _profile(coeffs: Mapping[int, float]) -> np.ndarray:
-    """``evaluate_cosine_series(coeffs, _profile_grid())`` bit for bit: the
+    """``evaluate_cosine_series(coeffs, _PROFILE_GRID)`` bit for bit: the
     same mode-ordered sum, over cached rows."""
-    total = np.zeros(_PROFILE_POINTS)
+    total = np.zeros(_PROFILE_GRID.size)
     for n, c in sorted(coeffs.items()):
         total = total + c * _cosine_row(n)
     return total
@@ -342,10 +335,12 @@ def sample(problem: HeatProblem, t_start: float, period: float, count: int) -> S
 
 def sample_windows(problem: HeatProblem, n1: int, n2: int, t0: float, n_rec: int):
     """The flux-free, flux-step and reconstruction windows: ``n1`` samples on
-    [t1, t2), ``n2`` on [t2, t3) and ``n_rec`` on [t0, t2)."""
+    [t1, t2), ``n2`` on [t2, t3) and ``n_rec`` on [t0, t2), 0 < t0 < t2."""
     for name, count in (("n1", n1), ("n2", n2), ("n_rec", n_rec)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
+    if not 0 < t0 < problem.t2:
+        raise ValueError(f"t0 must lie in (0, t2) = (0, {problem.t2}), got {t0}")
     return (
         sample(problem, problem.t1, (problem.t2 - problem.t1) / n1, n1),
         sample(problem, problem.t2, (problem.t3 - problem.t2) / n2, n2),

@@ -63,7 +63,10 @@ class TestSimulate:
         [
             ("--n1", "8", "window sample counts must be at least 9"),
             ("--n2", "8", "window sample counts must be at least 9"),
-            ("--n-rec", "0", "reconstruction sample count must be at least 1"),
+            ("--n-rec", "0", "reconstruction sample count must be at least 2"),
+            ("--n-rec", "1", "reconstruction sample count must be at least 2"),
+            ("--t0", "0.9", "t0 must lie in (0, t2) = (0, 0.8), got 0.9"),
+            ("--t0", "0", "t0 must lie in (0, t2) = (0, 0.8), got 0.0"),
         ],
     )
     def test_schedule_refused(self, workspace, capsys, option, value, message):
@@ -73,6 +76,15 @@ class TestSimulate:
         )
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "traces").exists()
+
+    def test_shortest_reconstruction_window_reads_back(self, workspace):
+        traces = workspace / "traces"
+        assert main(["simulate", str(workspace / "problem.json"), "--out", str(traces),
+                     "--n-rec", "2"]) == 0
+        rec = model.read_trace_csv(traces / "rec.csv")
+        assert (rec.t_start, len(rec)) == (0.01, 2)
+        assert rec.period == pytest.approx((0.8 - 0.01) / 2, rel=1e-12)
 
     def test_byte_identical_reruns(self, workspace):
         traces_dir = run_simulate(workspace)
@@ -563,8 +575,14 @@ class TestReproduction:
         assert len(missed) == 2
         assert any("free coefficient C_1" in line for line in missed)
         assert any("kappa" in line for line in missed)
-        for name in ("problem.json", "free.csv", "result.json", "gcv.svg", "u0.svg"):
-            assert (tmp_path / "repro" / name).exists()
+        repro = tmp_path / "repro"
+        listed = json.loads((repro / "manifest.json").read_text())["outputs"]
+        assert listed == [
+            "free.csv", "gcv.csv", "gcv.svg", "problem.json", "rec.csv", "report.md",
+            "result.json", "step.csv", "u0.csv", "u0.svg",
+        ]
+        for name in listed:
+            assert (repro / name).is_file()
 
 
 class TestArtifactFormats:
@@ -626,6 +644,15 @@ class TestArtifactFormats:
             u0_rows = [f"{row},{ref[i]:.17g}" for i, row in enumerate(u0_rows)]
             header += ",u0_ref"
         assert (tmp_path / "u0.csv").read_text() == "\n".join([header, *u0_rows]) + "\n"
+
+    def test_column_text_is_the_uncached_format(self):
+        grid = model._PROFILE_GRID
+        pixels = cli._MARGIN + grid * (cli._SVG_W - 2 * cli._MARGIN)
+        for fmt, column in (("%.17g", grid), ("%.2f", pixels)):
+            for _ in range(2):  # built, then served from the cache
+                assert cli._column_text(fmt, column.tobytes()) == tuple(
+                    fmt % value for value in column.tolist()
+                )
 
 
 def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heatpencil import model, reference
+from heatpencil import cli, model, reference
 from heatpencil.model import (
     HeatProblem,
     QuadratureError,
@@ -387,6 +387,12 @@ class TestSeriesLayer:
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
             sample_windows(make_problem(), n1, n2, 0.01, n_rec)
 
+    @pytest.mark.parametrize("t0", [0.0, -0.01, 0.8, 0.9, math.nan])
+    def test_sample_windows_t0_outside_the_free_span(self, t0):
+        message = rf"^t0 must lie in \(0, t2\) = \(0, 0\.8\), got {t0}$"
+        with pytest.raises(ValueError, match=message):
+            sample_windows(make_problem(), 50, 50, t0, 79)
+
 
 class TestParseval:
     def test_norm_matches_quadrature(self):
@@ -616,10 +622,10 @@ class TestProfileGrid:
         assert on_grid.tobytes() == expected.tobytes()
 
     def test_cached_arrays_are_read_only(self):
-        grid = model._profile_grid()
+        grid = model._PROFILE_GRID
         assert grid.tobytes() == np.linspace(0.0, 1.0, 1001).tobytes()
-        truth, norm = reference._reference_profile()
-        assert norm == np.linalg.norm(reference.reference_u0(grid))
-        for array in (grid, model._cosine_row(7), truth):
+        for array in (grid, model._cosine_row(7)):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+        text = cli._column_text("%.17g", grid.tobytes())
+        assert isinstance(text, tuple) and len(text) == grid.size
