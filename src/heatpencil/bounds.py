@@ -8,6 +8,10 @@ Frobenius bounds for the Hankel perturbations they induce, a normalized
 perturbation level rho, a Bauer-Fike style pole perturbation bound (valid
 only when rho < 1), and finally an interval for the identified diffusivity;
 :func:`build_certificate` runs it.
+
+It also owns the file formats: the certificate block of ``result.json``, which
+:meth:`ErrorCertificate.to_dict` writes and :func:`read_certificate` reads, and
+the ``M0`` and ``alpha0`` of a priors file, which :func:`read_priors` reads.
 """
 
 from __future__ import annotations
@@ -348,4 +352,60 @@ def build_certificate(
         alpha_bound=a_bound,
         alpha_hat=alpha_hat,
         alpha_interval=interval,
+    )
+
+
+def _number(data: dict, name: str, where: str, kind: type = float):
+    """``data[name]`` converted by ``kind``, or a ValueError naming the field;
+    booleans are refused, and fractions in an ``int`` field are not truncated."""
+    if name not in data:
+        raise ValueError(f"{where} is missing field '{name}'")
+    value = data[name]
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} field '{name}' is not a number: {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{where} field '{name}' is not an integer: {value!r}")
+    return number
+
+
+def read_priors(data: dict, where: str) -> tuple[float, float]:
+    """The ``M0`` and ``alpha0`` of a parsed priors object, checked as
+    :class:`BoundInputs` checks them; ``where`` names its source in refusals."""
+    priors = _number(data, "M0", where), _number(data, "alpha0", where)
+    _check_priors(*priors)
+    return priors
+
+
+def read_certificate(data: dict, priors: tuple[float, float]) -> ErrorCertificate:
+    """A parsed identification result's certificate, rebuilt under ``priors``
+    by :func:`build_certificate` from what :meth:`ErrorCertificate.to_dict`
+    wrote to its ``certificate`` block and from its top-level ``alpha_hat``.
+    A null ``kappa_XM`` is the +inf that JSON cannot hold; a null
+    ``z_tilde``, ``mode_index`` or ``alpha_hat`` is absent."""
+    cert = data.get("certificate")
+    if not cert:
+        raise ValueError("input must be an identification result with a certificate block")
+    if not isinstance(cert, dict):
+        raise ValueError(f"certificate block must be a JSON object, got {type(cert).__name__}")
+    if "kappa_XM" in cert and cert["kappa_XM"] is None:
+        cert = {**cert, "kappa_XM": math.inf}
+
+    def optional(block, name, kind=float):
+        return None if block.get(name) is None else _number(block, name, "input", kind)
+
+    inputs = BoundInputs(  # the block's keys in the order of BoundInputs' fields
+        *priors,
+        *(_number(cert, key, "certificate block", int) for key in ("M", "N", "L")),
+        *(_number(cert, key, "certificate block")
+          for key in ("T1", "Ts", "sigma_M", "Y1_norm_2", "Y0M_gap_2", "kappa_XM")),
+    )
+    return build_certificate(
+        inputs,
+        z_tilde=optional(cert, "z_tilde"),
+        mode_index=optional(cert, "mode_index", int),
+        alpha_hat=optional(data, "alpha_hat"),
     )

@@ -29,10 +29,6 @@ _MANIFEST_NAME = "manifest.json"
 _TRACE_FILES = ("free.csv", "step.csv", "rec.csv")  # flux-free, flux-step, reconstruction
 
 
-class InputError(Exception):
-    """Bad or missing user input (exit code 2)."""
-
-
 def _finite_or_null(value):
     """``value`` with every non-finite float replaced by None: RFC 8259 JSON
     has no token for inf or NaN, and standard readers refuse ``Infinity``."""
@@ -51,29 +47,14 @@ def _write_json(path: Path, data: dict) -> None:
 
 def _load_json(path: Path) -> dict:
     if not path.exists():
-        raise InputError(f"missing input file: {path}")
+        raise ValueError(f"missing input file: {path}")
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+        raise ValueError(f"{path} must hold a JSON object, got {type(data).__name__}")
     return data
-
-
-def _number(data: dict, name: str, where: str, kind=float):
-    """``data[name]`` converted by ``kind``; an InputError names the field otherwise."""
-    if name not in data:
-        raise InputError(f"{where} is missing field '{name}'")
-    try:
-        return kind(data[name])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{where} field '{name}' is not a number: {data[name]!r}") from None
-
-
-def _load_priors(path: Path) -> tuple[float, float]:
-    data = _load_json(path)
-    return _number(data, "M0", str(path)), _number(data, "alpha0", str(path))
 
 
 def _write_manifest(
@@ -250,9 +231,9 @@ def _emit_plots(plot_dir: Path, result, reference_problem: model.HeatProblem | N
 
 def _cmd_simulate(args) -> int:
     if args.n1 < 9 or args.n2 < 9:
-        raise InputError("window sample counts must be at least 9")
+        raise ValueError("window sample counts must be at least 9")
     if args.n_rec < 2:  # a trace needs two samples to fix its period
-        raise InputError("reconstruction sample count must be at least 2")
+        raise ValueError("reconstruction sample count must be at least 2")
     problem = model.load_problem(args.problem)
     windows = model.sample_windows(problem, args.n1, args.n2, args.t0, args.n_rec)
     out_dir = Path(args.out)
@@ -279,7 +260,7 @@ def _read_traces(traces_dir: Path):
     for name in _TRACE_FILES:
         path = traces_dir / name
         if not path.exists():
-            raise InputError(f"missing trace file: {path}")
+            raise ValueError(f"missing trace file: {path}")
         traces.append(model.read_trace_csv(path))
     return traces
 
@@ -287,7 +268,8 @@ def _read_traces(traces_dir: Path):
 def _cmd_identify(args) -> int:
     traces_dir = Path(args.traces)
     trace_free, trace_step, trace_rec = _read_traces(traces_dir)
-    priors = _load_priors(Path(args.priors))
+    priors_path = Path(args.priors)
+    priors = bounds.read_priors(_load_json(priors_path), str(priors_path))
     ref_problem = model.load_problem(args.reference_problem) if args.reference_problem else None
     result = pipeline.identify(trace_free, trace_step, trace_rec, priors=priors)
     out_path = Path(args.out)
@@ -316,54 +298,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _bound_inputs_from_payload(data: dict, priors: tuple[float, float]) -> tuple:
-    cert = data.get("certificate")
-    if not cert:
-        raise InputError("input must be an identification result with a certificate block")
-    if not isinstance(cert, dict):
-        raise InputError(f"certificate block must be a JSON object, got {type(cert).__name__}")
-    m0, alpha0 = priors
-
-    def field(name, kind=float):
-        return _number(cert, name, "certificate block", kind)
-
-    def optional(block, name, kind=float):
-        return None if block.get(name) is None else _number(block, name, "input", kind)
-
-    inputs = bounds.BoundInputs(
-        m0=m0, alpha0=alpha0,
-        m=field("M", int), n=field("N", int), l=field("L", int),
-        t1=field("T1"), ts=field("Ts"),
-        sigma_m=field("sigma_M"),
-        y1_norm=field("Y1_norm_2"),
-        y0_trunc_gap=field("Y0M_gap_2"),
-        # null is how _write_json stores +inf, BoundInputs' numerically singular basis
-        kappa_xm=(
-            math.inf if "kappa_XM" in cert and cert["kappa_XM"] is None else field("kappa_XM")
-        ),
-    )
-    return (
-        inputs,
-        optional(cert, "z_tilde"),
-        optional(cert, "mode_index", int),
-        optional(data, "alpha_hat"),
-    )
-
-
 def _cmd_bounds(args) -> int:
     data = _load_json(Path(args.input))
-    priors = _load_priors(Path(args.priors))
-    inputs, z_tilde, mode_index, alpha_hat = _bound_inputs_from_payload(data, priors)
-    try:
-        certificate = bounds.build_certificate(
-            inputs,
-            alpha_hat=alpha_hat,
-            z_tilde=z_tilde,
-            mode_index=mode_index,
-        )
-    except bounds.CertificateUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    priors_path = Path(args.priors)
+    priors = bounds.read_priors(_load_json(priors_path), str(priors_path))
+    certificate = bounds.read_certificate(data, priors)  # main maps unavailable to 3
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     payload = certificate.to_dict()
@@ -529,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         # first: ShortTraceError is a ValueError as well
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    except (InputError, OSError, ValueError, model.QuadratureError) as exc:
+    except (OSError, ValueError, model.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except bounds.CertificateUnavailableError as exc:

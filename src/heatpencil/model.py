@@ -425,7 +425,8 @@ def write_trace_csv(path: str | Path, trace: SampleTrace) -> None:
 def read_trace_csv(path: str | Path) -> SampleTrace:
     """Read a ``t,y`` trace.  ``TraceError`` names the line of a row that is
     not two finite numbers; fewer than two rows, times that do not increase
-    and uneven times are refused, naming the file."""
+    and times spaced unevenly beyond 1e-9 of the period plus their float64
+    rounding are refused, naming the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if [h.strip() for h in next(reader, [])] != ["t", "y"]:
@@ -445,6 +446,7 @@ def read_trace_csv(path: str | Path) -> SampleTrace:
     periods = np.diff(times)
     if periods[0] <= 0:
         raise TraceError(f"{path}: sample times must increase, got period {periods[0]:g}")
-    if np.any(np.abs(periods - periods[0]) > 1e-9 * max(1.0, abs(periods[0]))):
+    slack = 1e-9 * periods[0] + 4 * np.finfo(float).eps * np.abs(times).max()
+    if np.any(np.abs(periods - periods[0]) > slack):
         raise TraceError(f"{path}: sample times are not uniformly spaced")
     return SampleTrace(t_start=float(times[0]), period=float(periods[0]), values=values)

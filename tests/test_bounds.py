@@ -13,6 +13,8 @@ from heatpencil.bounds import (
     condition_number,
     decay_envelope,
     frobenius_bounds,
+    read_certificate,
+    read_priors,
     tail_bound,
 )
 from heatpencil.model import SampleTrace
@@ -432,6 +434,22 @@ class TestCertificate:
             assert cert.decay_envelope == decay_envelope(inputs.theta, 17)
             assert (cert.frob_y0, cert.frob_y1) == frobenius_bounds(inputs)
         assert cert.tail_bound_t1 == tail_bound(1e-9, inputs.alpha0, 1, 0.3)
+
+    @pytest.mark.parametrize("mode", [{"z_tilde": 0.6738, "mode_index": 1}, {}])
+    def test_read_back_from_its_block(self, mode):
+        # the block to_dict writes, with the result's alpha_hat, rebuilds it
+        cert = build_certificate(reference_inputs(), alpha_hat=4.0, **mode)
+        result = {"alpha_hat": 4.0, "certificate": cert.to_dict()}
+        assert read_certificate(result, (15.0, 3.0)) == cert
+
+    def test_read_priors(self):
+        assert read_priors({"M0": 15, "alpha0": 3.0}, "p.json") == (15.0, 3.0)
+        with pytest.raises(ValueError, match="^p.json is missing field 'alpha0'$"):
+            read_priors({"M0": 15}, "p.json")
+        with pytest.raises(ValueError, match="^p.json field 'M0' is not a number: True$"):
+            read_priors({"M0": True, "alpha0": 3}, "p.json")
+        with pytest.raises(ValueError, match="^norm prior must be nonnegative, got -1.0$"):
+            read_priors({"M0": -1, "alpha0": 3}, "p.json")
 
     def test_bitwise_reproducible(self):
         a = build_certificate(reference_inputs(), 4.0, 0.6738, 1)

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,17 @@ def workspace(tmp_path):
     model.save_problem(tmp_path / "problem.json", reference.reference_problem())
     (tmp_path / "priors.json").write_text(json.dumps({"M0": 15.0, "alpha0": 3.0}))
     return tmp_path
+
+
+def run_module(*argv):
+    """``python -m heatpencil.cli`` in a child process that imports the package
+    these tests import, whether it is installed or only on ``sys.path``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "heatpencil.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_simulate(workspace):
@@ -404,6 +417,26 @@ class TestBounds:
         assert cert.pop("manifest") == "manifest.json"
         assert list(cert.items()) == list(block.items())
 
+    def test_constant_mode_block_round_trips(self, tmp_path, capsys):
+        # a free window with only the constant mode: no pole to convert, so
+        # z_tilde, mode_index and the alpha interval are null
+        model.save_problem(tmp_path / "problem.json", HeatProblem(4.0, {0: 2.0}, 0.3, 0.8, 1.3))
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"M0": 5, "alpha0": 3}))
+        traces = run_simulate(tmp_path)
+        result = tmp_path / "result.json"
+        assert main(["identify", str(traces), str(priors), "--out", str(result)]) == 0
+        block = json.loads(result.read_text())["certificate"]
+        for name in ("z_tilde", "mode_index", "eigenvalue_bound", "alpha_bound", "alpha_interval"):
+            assert block[name] is None
+        cert_path = tmp_path / "certificate.json"
+        capsys.readouterr()
+        assert main(["bounds", str(result), str(priors), "--out", str(cert_path)]) == 0
+        assert capsys.readouterr().out == "pole bound: 0.00715192\n"
+        cert = json.loads(cert_path.read_text())
+        assert cert.pop("manifest") == "manifest.json"
+        assert list(cert.items()) == list(block.items())
+
     def test_zero_norm_prior_gives_degenerate_bounds(self, workspace):
         result = self._result_path(workspace)
         (workspace / "zero.json").write_text(json.dumps({"M0": 0.0, "alpha0": 3.0}))
@@ -456,6 +489,47 @@ class TestBounds:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{name}'" in err
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("M", 2.9, "certificate block field 'M' is not an integer: 2.9"),
+            ("L", 17.5, "certificate block field 'L' is not an integer: 17.5"),
+            ("mode_index", 1.7, "input field 'mode_index' is not an integer: 1.7"),
+            ("N", True, "certificate block field 'N' is not a number: True"),
+            ("M", False, "certificate block field 'M' is not a number: False"),
+            ("mode_index", True, "input field 'mode_index' is not a number: True"),
+            ("Ts", True, "certificate block field 'Ts' is not a number: True"),
+        ],
+    )
+    def test_fractional_or_boolean_field_refused(self, workspace, capsys, name, value, message):
+        # int() would truncate these, and a boolean would read as 0 or 1
+        result = self._result_path(workspace)
+        data = json.loads(result.read_text())
+        data["certificate"][name] = value
+        result.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(
+            ["bounds", str(result), str(workspace / "priors.json"),
+             "--out", str(workspace / "cert.json")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "cert.json").exists()
+
+    def test_integral_floats_read_as_counts(self, workspace):
+        result = self._result_path(workspace)
+        data = json.loads(result.read_text())
+        block = dict(data["certificate"])
+        for name in ("M", "N", "L", "mode_index"):
+            data["certificate"][name] = float(block[name])
+        result.write_text(json.dumps(data))
+        cert_path = workspace / "certificate.json"
+        rc = main(["bounds", str(result), str(workspace / "priors.json"), "--out", str(cert_path)])
+        assert rc == 0
+        cert = json.loads(cert_path.read_text())
+        assert cert.pop("manifest") == "manifest.json"
+        assert list(cert.items()) == list(block.items())
 
     def test_unavailable_when_rho_too_large(self, workspace, capsys):
         result = self._result_path(workspace)
@@ -659,11 +733,6 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeyp
     # main() is also called in process, several times in one: a run, an
     # argument error and another run in sequence must each behave as they
     # do in a fresh process.
-    def fresh(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "heatpencil.cli", *argv], capture_output=True, text=True
-        )
-
     priors = tmp_path / "priors.json"
     priors.write_text(json.dumps({"M0": 15.0, "alpha0": 3.0}))
     repro = tmp_path / "repro"
@@ -675,14 +744,14 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeyp
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "the following arguments are required: --out" in err
-    run = fresh(*no_out)
+    run = run_module(*no_out)
     assert (run.returncode, run.stderr) == (2, err)
     assert not (tmp_path / "plots").exists()
     bounds = ["bounds", str(repro / "result.json"), str(priors), "--out"]
     assert main([*bounds, str(tmp_path / "bounds" / "certificate.json")]) == 0
     printed = capsys.readouterr().out
     assert printed.startswith("alpha interval: (")
-    run = fresh(*bounds, str(tmp_path / "fresh" / "certificate.json"))
+    run = run_module(*bounds, str(tmp_path / "fresh" / "certificate.json"))
     assert (run.returncode, run.stdout) == (0, printed)
     assert (tmp_path / "bounds" / "certificate.json").read_bytes() == (
         tmp_path / "fresh" / "certificate.json"
@@ -694,8 +763,8 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeyp
     assert main([*overlay, "--out", str(tmp_path / "ident" / "result.json"),
                  "--plot", str(tmp_path / "ident" / "plots")]) == 0
     captured = capsys.readouterr()
-    run = fresh(*overlay, "--out", str(tmp_path / "fresh-ident" / "result.json"),
-                "--plot", str(tmp_path / "fresh-ident" / "plots"))
+    run = run_module(*overlay, "--out", str(tmp_path / "fresh-ident" / "result.json"),
+                     "--plot", str(tmp_path / "fresh-ident" / "plots"))
     assert (run.returncode, run.stdout, run.stderr) == (0, captured.out, captured.err)
     assert artifacts(tmp_path / "ident") == artifacts(tmp_path / "fresh-ident")
     # help wraps at the terminal width of the moment it is printed
@@ -705,11 +774,11 @@ def test_repeated_main_calls_behave_as_fresh_processes(tmp_path, capsys, monkeyp
             main(["--help"])
         assert exc.value.code == 0
         captured = capsys.readouterr()
-        run = fresh("--help")
+        run = run_module("--help")
         assert (run.returncode, run.stdout, run.stderr) == (0, captured.out, captured.err)
     assert main(["repro-paper", "--out", str(tmp_path / "again")]) == 1
     captured = capsys.readouterr()
-    run = fresh("repro-paper", "--out", str(tmp_path / "fresh-repro"))
+    run = run_module("repro-paper", "--out", str(tmp_path / "fresh-repro"))
     assert (run.returncode, run.stdout, run.stderr) == (1, captured.out, captured.err)
     assert artifacts(tmp_path / "again") == artifacts(tmp_path / "fresh-repro")
 
@@ -749,11 +818,7 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
 
 class TestConsoleEntry:
     def test_module_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "heatpencil.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "repro-paper" in proc.stdout

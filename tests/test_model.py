@@ -506,6 +506,22 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="uniform"):
             read_trace_csv(path)
 
+    def test_csv_spacing_tolerance_scales_with_the_period(self, tmp_path):
+        # periods 1e-12 and 6e-10: uneven by 600x, yet within 1e-9 absolute
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.5,1\n0.500000000001,1\n0.5000000006,1\n")
+        with pytest.raises(TraceError, match="bad.csv: sample times are not uniformly spaced"):
+            read_trace_csv(path)
+        values = np.random.default_rng(11).standard_normal(200)
+        for period in 10.0 ** np.arange(-12, 4):
+            for t_start in (0.5, 7 * period, 1e3):
+                trace = SampleTrace(t_start, period, values)
+                write_trace_csv(path, trace)
+                back = read_trace_csv(path)
+                assert back.t_start == trace.t_start
+                assert back.period == trace.times[1] - trace.times[0]
+                np.testing.assert_array_equal(back.values, values)
+
     @pytest.mark.parametrize(
         "rows", ["0.3,1\n0.2,1\n0.1,1\n", "0.1,1\n0.1,1\n0.1,1\n"],
         ids=["descending", "repeated"],
