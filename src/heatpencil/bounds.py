@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PI_SQ, SampleTrace
+from .model import PI_SQ, SampleTrace, _number
 from .pencil import PencilEstimate
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -353,23 +353,6 @@ def build_certificate(
         alpha_hat=alpha_hat,
         alpha_interval=interval,
     )
-
-
-def _number(data: dict, name: str, where: str, kind: type = float):
-    """``data[name]`` converted by ``kind``, or a ValueError naming the field;
-    booleans are refused, and fractions in an ``int`` field are not truncated."""
-    if name not in data:
-        raise ValueError(f"{where} is missing field '{name}'")
-    value = data[name]
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} field '{name}' is not a number: {value!r}") from None
-    if kind is int and isinstance(value, float) and number != value:
-        raise ValueError(f"{where} field '{name}' is not an integer: {value!r}")
-    return number
 
 
 def read_priors(data: dict, where: str) -> tuple[float, float]:

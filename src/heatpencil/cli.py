@@ -6,6 +6,8 @@ artifacts produced, by their paths relative to the manifest's folder.  The
 data artifacts themselves are byte-deterministic for identical inputs; the
 timestamp lives only in the manifest.
 
+Each subcommand opens files, calls the library, which owns the file formats
+and the reproduction report, writes what it returns and picks the exit code.
 Exit codes: 0 success, 1 reproduction mismatch, 2 input error,
 3 certificate unavailable.
 """
@@ -323,12 +325,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _format_reference_value(value: float) -> str:
-    if value == int(value) and abs(value) < 100:
-        return f"{value:.4f}"
-    return f"{value:.6g}"
-
-
 def _cmd_repro_paper(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -345,54 +341,7 @@ def _cmd_repro_paper(args) -> int:
     _write_json(out_dir / "result.json", payload)
     plots = _emit_plots(out_dir, result, problem)
 
-    u0_err = reference.u0_reconstruction_error(result.u0_coeffs_hat)
-    checks = reference.compare_reference_run(result, u0_err)
-    misses = [c for c in checks if not c.ok]
-    unexplained = [c for c in misses if not c.known_unreproducible]
-
-    lines = [
-        "# Reference reproduction report",
-        "",
-        "Configuration: diffusivity 4, initial profile "
-        "x - 9 cos(pi x) + 5 cos(3 pi x), windows 0.3 / 0.8 / 1.3, "
-        "50 samples per window at period 0.01, singular threshold 1e-10, "
-        "priors |u0| <= 15, alpha >= 3.",
-        "",
-        "| field | reference | computed | tolerance | status |",
-        "|---|---|---|---|---|",
-    ]
-    for c in checks:
-        status = "ok" if c.ok else ("MISS (known, see notes)" if c.known_unreproducible else "MISS")
-        tol = f"{c.tolerance:g}" + (" rel" if c.relative else "")
-        lines.append(
-            f"| {c.name} | {_format_reference_value(c.expected)} | "
-            f"{c.actual:.6g} | {tol} | {status} |"
-        )
-    cert = result.certificate
-    lines += [
-        "",
-        f"Certificate inputs: M0={cert.inputs.m0:g}, alpha0={cert.inputs.alpha0:g}, "
-        f"M={cert.inputs.m}, N={cert.inputs.n}, L={cert.inputs.l}, "
-        f"T1={cert.inputs.t1:g}, Ts={cert.inputs.ts:g}.",
-    ]
-    lo, hi = result.certificate.alpha_interval
-    lines += [
-        "",
-        f"The identified diffusivity lies between {lo:.4f} and {hi:.4f} "
-        f"(reference interval: between "
-        f"{reference.CERT_ALPHA_INTERVAL[0]:.4f} and "
-        f"{reference.CERT_ALPHA_INTERVAL[1]:.4f}).",
-        "",
-        f"{len(checks)} fields compared, {len(checks) - len(misses)} within "
-        f"tolerance, {len(misses)} missed "
-        f"({len(misses) - len(unexplained)} of them documented as not "
-        "reproducible in double precision; see README, Reproducibility notes).",
-        "",
-    ]
-    for c in checks:
-        if c.note:
-            lines.append(f"- {c.name}: {c.note}")
-    report = "\n".join(lines) + "\n"
+    report, matched = reference.reproduction_report(result)
     (out_dir / "report.md").write_text(report)
     _write_manifest(
         out_dir,
@@ -403,7 +352,7 @@ def _cmd_repro_paper(args) -> int:
         outputs=sorted(["problem.json", *_TRACE_FILES, "result.json", "report.md", *plots]),
     )
     print(report, end="")
-    return 0 if not misses else 1
+    return 0 if matched else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,8 +78,9 @@ class HeatProblem:
         a unit step from t2 on.
     control_series_terms : int or None
         If set, the flux-step exponential tail is summed with exactly this
-        many terms instead of to machine precision.  Used to regenerate
-        published data that was produced with a fixed 200-term truncation.
+        many terms (at most ``_TAIL_MAX_TERMS``) instead of to machine
+        precision.  Used to regenerate published data that was produced with
+        a fixed 200-term truncation.
     """
 
     alpha: float
@@ -111,8 +112,9 @@ class HeatProblem:
             if c != 0.0:
                 coeffs[n] = c
         object.__setattr__(self, "u0_coeffs", MappingProxyType(dict(sorted(coeffs.items()))))
-        if self.control_series_terms is not None and self.control_series_terms < 1:
-            raise ValueError("control_series_terms must be positive when set")
+        terms, cap = self.control_series_terms, _TAIL_MAX_TERMS
+        if terms is not None and not 1 <= terms <= cap:
+            raise ValueError(f"problem field 'control_series_terms' is {terms}, not in 1..{cap}")
 
     def u0_l2_norm(self) -> float:
         """L2 norm of the initial profile via the Parseval identity."""
@@ -266,12 +268,13 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
     """Flux-step bracket ``-1/(3 alpha) - dt + sum_{n>=1} (2/lambda_n) exp(-lambda_n dt)``.
 
     Vectorized over the times since the step, ``dt >= 0``.  Each sample's
-    series has its own term count: ``n_terms`` if given, else the a-priori
-    count past which terms are below ``_TAIL_RELATIVE_CUTOFF`` times the first.
-    Where that count exceeds ``_TAIL_MAX_TERMS`` (and at ``dt == 0``) the
-    bracket is the small-time form ``-2 sqrt(dt / (pi alpha))``: by Poisson
-    summation the rest is O(exp(-1 / (alpha dt))), exactly 0.0 there.
-    Chunked summation keeps temporaries near 1 MB.
+    series has its own term count: ``n_terms`` (at most ``_TAIL_MAX_TERMS``)
+    if given, else the a-priori count past which terms are below
+    ``_TAIL_RELATIVE_CUTOFF`` times the first.  Where that count exceeds
+    ``_TAIL_MAX_TERMS`` (and at ``dt == 0``) the bracket is the small-time
+    form ``-2 sqrt(dt / (pi alpha))``: by Poisson summation the rest is
+    O(exp(-1 / (alpha dt))), exactly 0.0 there.  Chunked summation keeps
+    temporaries near 1 MB.
     """
     if alpha <= 0:
         raise ValueError(f"diffusivity must be positive, got {alpha}")
@@ -279,8 +282,8 @@ def control_bracket(alpha: float, dt, n_terms: int | None = None) -> np.ndarray:
     flat = dt.ravel()
     if np.any(flat < 0):
         raise ValueError("time since the flux step must be nonnegative")
-    if n_terms is not None and n_terms < 1:
-        raise ValueError(f"n_terms must be positive when set, got {n_terms}")
+    if n_terms is not None and not 1 <= n_terms <= _TAIL_MAX_TERMS:
+        raise ValueError(f"n_terms must lie in 1..{_TAIL_MAX_TERMS} when set, got {n_terms}")
     if n_terms is None:
         cap = _TAIL_MAX_TERMS
         # the smallest n with exp(-alpha pi^2 (n^2 - 1) dt) <= cutoff; inf at dt = 0
@@ -365,9 +368,28 @@ def problem_to_dict(problem: HeatProblem) -> dict:
     return out
 
 
+def _number(data: dict, name: str, where: str, kind: type = float):
+    """``data[name]`` converted by ``kind``, or a ValueError naming the field;
+    booleans, and fractions or counts above 2**53 in an ``int`` field, are refused."""
+    if name not in data:
+        raise ValueError(f"{where} is missing field '{name}'")
+    value = data[name]
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} field '{name}' is not a number: {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{where} field '{name}' is not an integer: {value!r}")
+    if kind is int and number > 2**53:
+        raise ValueError(f"{where} field '{name}' is above 2**53, the largest exact count")
+    return number
+
+
 def problem_from_dict(data: Mapping) -> HeatProblem:
-    """The problem a JSON object describes; ``ValueError`` names a missing or
-    malformed field."""
+    """The problem a JSON object describes, its numbers read by
+    :func:`_number`; ``ValueError`` names a missing or malformed field."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a problem must be a JSON object, got {type(data).__name__}")
     amplitude = data.get("control_amplitude", 1)  # files of earlier versions carry 1
@@ -375,24 +397,16 @@ def problem_from_dict(data: Mapping) -> HeatProblem:
         raise ValueError(
             f"problem field 'control_amplitude' is {amplitude!r}; the flux step is unit"
         )
-    data = {"control_series_terms": None, **data}
-
-    def get(name, convert=float):
-        if name not in data:
-            raise ValueError(f"problem file is missing required field '{name}'")
-        try:
-            return convert(data[name])
-        except (TypeError, ValueError, AttributeError, OverflowError):
-            raise ValueError(f"problem field '{name}' is malformed: {data[name]!r}") from None
-
-    return HeatProblem(
-        alpha=get("alpha"),
-        u0_coeffs=get("u0_cosine", lambda c: {int(n): float(v) for n, v in c.items()}),
-        t1=get("t1"),
-        t2=get("t2"),
-        t3=get("t3"),
-        control_series_terms=get("control_series_terms", lambda v: None if v is None else int(v)),
-    )
+    alpha = _number(data, "alpha", "problem")
+    entries = data.get("u0_cosine")
+    if not isinstance(entries, Mapping) or not all(str(n).isdecimal() for n in entries):
+        raise ValueError(f"problem field 'u0_cosine' must map mode numbers to numbers: {entries!r}")
+    u0_coeffs = {int(n): _number(entries, n, "problem 'u0_cosine'") for n in entries}
+    times = (_number(data, name, "problem") for name in ("t1", "t2", "t3"))
+    terms = data.get("control_series_terms")
+    if terms is not None:
+        terms = _number(data, "control_series_terms", "problem", int)
+    return HeatProblem(alpha, u0_coeffs, *times, control_series_terms=terms)
 
 
 def load_problem(path: str | Path) -> HeatProblem:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatpencil import cli, model, reference
+from heatpencil import cli, model, pipeline, reference
 from heatpencil.cli import main
 from heatpencil.model import HeatProblem
 
@@ -517,6 +517,26 @@ class TestBounds:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workspace / "cert.json").exists()
 
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    @pytest.mark.parametrize("name", ["M", "N", "L", "mode_index"])
+    def test_count_above_2_53_refused(self, workspace, capsys, name, value):
+        # float64, in which theta squares M, holds every count only up to 2**53
+        result = self._result_path(workspace)
+        data = json.loads(result.read_text())
+        data["certificate"][name] = value
+        result.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(
+            ["bounds", str(result), str(workspace / "priors.json"),
+             "--out", str(workspace / "cert.json")]
+        )
+        assert rc == 2
+        where = "input" if name == "mode_index" else "certificate block"
+        assert capsys.readouterr().err == (
+            f"error: {where} field '{name}' is above 2**53, the largest exact count\n"
+        )
+        assert not (workspace / "cert.json").exists()
+
     def test_integral_floats_read_as_counts(self, workspace):
         result = self._result_path(workspace)
         data = json.loads(result.read_text())
@@ -586,6 +606,12 @@ _PROBLEM = model.problem_to_dict(reference.reference_problem())
         ("problem", {**_PROBLEM, "alpha": math.nan}, "'alpha'"),
         ("priors", {"m0": 15.0, "alpha0": 3.0}, "'M0'"),
         ("problem", {**_PROBLEM, "control_amplitude": 2.0}, "'control_amplitude'"),
+        ("problem", {**_PROBLEM, "alpha": True}, "'alpha'"),
+        ("problem", {**_PROBLEM, "control_series_terms": 200.7}, "'control_series_terms'"),
+        ("problem", {**_PROBLEM, "control_series_terms": True}, "'control_series_terms'"),
+        ("problem", {**_PROBLEM, "u0_cosine": {"0": True}}, "'u0_cosine'"),
+        ("problem", {**_PROBLEM, "control_series_terms": 10**6 + 1}, "'control_series_terms'"),
+        ("problem", {**_PROBLEM, "control_series_terms": 10**400}, "'control_series_terms'"),
     ],
 )
 def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):
@@ -657,6 +683,32 @@ class TestReproduction:
         ]
         for name in listed:
             assert (repro / name).is_file()
+
+    def test_report_is_the_reference_report(self, tmp_path, capsys):
+        rc = main(["repro-paper", "--out", str(tmp_path)])
+        printed = capsys.readouterr().out
+        traces = model.sample_windows(reference.reference_problem(), *reference.REFERENCE_SCHEDULE)
+        result = pipeline.identify(*traces, priors=reference.REFERENCE_PRIORS)
+        text, matched = reference.reproduction_report(result)
+        assert text == (tmp_path / "report.md").read_text() == printed
+        assert rc == (0 if matched else 1)
+        error = reference.u0_reconstruction_error(result.u0_coeffs_hat)
+        checks = reference.compare_reference_run(result, error)
+        assert matched == all(c.ok for c in checks)
+        ok = sum(c.ok for c in checks)
+        known = sum(c.known_unreproducible and not c.ok for c in checks)
+        assert (
+            f"{len(checks)} fields compared, {ok} within tolerance, {len(checks) - ok} missed "
+            f"({known} of them documented as not reproducible" in text
+        )
+        rows = [line for line in text.splitlines() if line.startswith("| ")][1:]
+        assert [row.split(" | ")[0][2:] for row in rows] == [c.name for c in checks]
+        assert text.splitlines()[2] == (
+            "Configuration: diffusivity 4, initial profile "
+            "x - 9 cos(pi x) + 5 cos(3 pi x), windows 0.3 / 0.8 / 1.3, "
+            "50 samples per window at period 0.01, singular threshold 1e-10, "
+            "priors |u0| <= 15, alpha >= 3."
+        )
 
 
 class TestArtifactFormats:

@@ -371,6 +371,16 @@ class TestSeriesLayer:
         with pytest.raises(ValueError):
             control_bracket(0.0, [0.1])
 
+    def test_series_term_count_capped(self):
+        # refused before any term is summed: the cost grows with the count
+        cap = model._TAIL_MAX_TERMS
+        assert HeatProblem(4.0, {1: 1.0}, 0.3, 0.8, 1.3, control_series_terms=cap)
+        message = f"'control_series_terms' is {cap + 1}, not in 1..{cap}"
+        with pytest.raises(ValueError, match=message):
+            HeatProblem(4.0, {1: 1.0}, 0.3, 0.8, 1.3, control_series_terms=cap + 1)
+        with pytest.raises(ValueError, match=f"n_terms must lie in 1..{cap}"):
+            control_bracket(4.0, [0.1], n_terms=cap + 1)
+
     def test_sample_windows_periods(self):
         problem = make_problem()
         free, step, rec = sample_windows(problem, 50, 40, 0.01, 79)

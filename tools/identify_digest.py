@@ -12,11 +12,13 @@ script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 (seeds 1 and 2): a SHA-256 over every ``identify`` output of the pool, as
 ``to_dict()`` JSON, refusal type and message, and warnings.  A last line
 digests ``repro-paper``, ``identify --plot``, ``identify --plot
---reference-problem`` and ``bounds`` on the reference data, run in process
-through ``cli.main``: their exit codes, what they print to stdout and
-stderr, and their artifacts, ``manifest.json`` (which records a timestamp)
-excluded.  The u0 plot is thus drawn against the built-in reference, a
-problem file's and none.  The four commands run twice in the one process,
+--reference-problem``, ``bounds`` and ``simulate`` on the reference data,
+run in process through ``cli.main``: their exit codes, what they print to
+stdout and stderr, and their artifacts, ``manifest.json`` (which records a
+timestamp) excluded.  The u0 plot is thus drawn against the built-in
+reference, a problem file's and none; ``simulate`` reads the
+``problem.json`` that ``repro-paper`` wrote, so the problem-file reader is
+checked on a valid file.  The five commands run twice in the one process,
 and the script exits 1 if the second round differs from the first, so state
 that one ``cli.main`` call leaves for the next shows.  Two checkouts that print
 the same lines produced the same bits.
@@ -99,6 +101,7 @@ def artifact_digest() -> str:
              "--reference-problem", str(out / "repro" / "problem.json")],
             ["bounds", str(out / "identify" / "result.json"), str(priors),
              "--out", str(out / "bounds" / "certificate.json")],
+            ["simulate", str(out / "repro" / "problem.json"), "--out", str(out / "simulate")],
         )
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
