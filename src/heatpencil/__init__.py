@@ -54,7 +54,6 @@ from .pencil import (
 from .pipeline import (
     IdentificationError,
     IdentificationResult,
-    NoModesError,
     PipelineConfig,
     alpha_from_step_window,
     assign_mode_indices,
@@ -75,8 +74,8 @@ __all__ = [
     "problem_from_function", "read_trace_csv", "sample", "sample_windows",
     "save_problem", "write_trace_csv", "PencilError", "PencilEstimate", "analyze",
     "build_hankel", "detect_order", "estimate_poles", "fit_amplitudes",
-    "poles_to_rates", "IdentificationError", "IdentificationResult", "NoModesError",
-    "PipelineConfig", "alpha_from_step_window", "assign_mode_indices",
-    "build_design_matrix", "free_window_spectrum", "gcv_select", "identify",
-    "transform_step_window", "tsvd_solve",
+    "poles_to_rates", "IdentificationError", "IdentificationResult", "PipelineConfig",
+    "alpha_from_step_window", "assign_mode_indices", "build_design_matrix",
+    "free_window_spectrum", "gcv_select", "identify", "transform_step_window",
+    "tsvd_solve",
 ]

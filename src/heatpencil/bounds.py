@@ -221,10 +221,10 @@ def certificate_inputs(
     ``kappa_xm``, the condition number of the unit-column eigenvectors of
     the truncated pencil product (+inf if they are numerically singular), is
     reproducible only to rounding level: the product's large kernel has a
-    rounding-determined basis.  An estimate without signal, or of 9 samples
-    or fewer, raises :class:`CertificateUnavailableError`.
+    rounding-determined basis.  An estimate without signal, or a trace of 9
+    samples or fewer, raises :class:`CertificateUnavailableError`.
     """
-    n = estimate.sample_count
+    n = trace.values.size
     if n <= 9:
         raise CertificateUnavailableError(
             f"certificate unavailable (the bounds require more than 9 samples, got {n})"

@@ -370,12 +370,13 @@ def problem_to_dict(problem: HeatProblem) -> dict:
 
 def _number(data: dict, name: str, where: str, kind: type = float):
     """``data[name]`` converted by ``kind``, or a ValueError naming the field;
-    booleans, and fractions or counts above 2**53 in an ``int`` field, are refused."""
+    a non-number (a string or a boolean), and fractions or counts above 2**53
+    in an ``int`` field, are refused."""
     if name not in data:
         raise ValueError(f"{where} is missing field '{name}'")
     value = data[name]
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -399,8 +400,11 @@ def problem_from_dict(data: Mapping) -> HeatProblem:
         )
     alpha = _number(data, "alpha", "problem")
     entries = data.get("u0_cosine")
-    if not isinstance(entries, Mapping) or not all(str(n).isdecimal() for n in entries):
+    if not isinstance(entries, Mapping):
         raise ValueError(f"problem field 'u0_cosine' must map mode numbers to numbers: {entries!r}")
+    for n in entries:  # one key per mode: "1", never "01" or a non-ASCII digit
+        if not (str(n).isdecimal() and str(int(n)) == str(n)):
+            raise ValueError(f"problem field 'u0_cosine' key {n!r} is not a mode number")
     u0_coeffs = {int(n): _number(entries, n, "problem 'u0_cosine'") for n in entries}
     times = (_number(data, name, "problem") for name in ("t1", "t2", "t3"))
     terms = data.get("control_series_terms")

@@ -246,7 +246,6 @@ class PencilEstimate:
     singular_values: np.ndarray = field(repr=False)
     truncated_pencil: TruncatedPencil | None = field(repr=False)
     pencil_parameter: int
-    sample_count: int
 
 
 def _order_from_factors(factors: TruncatedPencil) -> int | None:
@@ -363,5 +362,4 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
         singular_values=factors.sv,
         truncated_pencil=truncated,
         pencil_parameter=length,
-        sample_count=trace.values.size,
     )

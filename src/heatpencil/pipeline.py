@@ -27,10 +27,6 @@ class IdentificationError(Exception):
     """The pipeline cannot proceed with the given traces."""
 
 
-class NoModesError(IdentificationError):
-    """The flux-free window contains no detectable exponential modes."""
-
-
 class AlphaUnrecoverableError(IdentificationError):
     """No credible mode pair and no constant mode in the controlled window."""
 
@@ -77,25 +73,21 @@ class FreeSpectrum:
     coefficients: np.ndarray = field(repr=False)
     estimate: pencil.PencilEstimate
 
-    def __len__(self) -> int:
-        return self.rates.size
-
 
 def free_window_spectrum(trace: SampleTrace) -> FreeSpectrum:
     """Estimate rates and absolute-time coefficients on the flux-free window.
 
     Rates come from the pencil poles; :func:`pencil.fit_amplitudes` fits the
     coefficients against exp(-rate * t) on the trace's absolute times, so a
-    clamped zero rate keeps its constant coefficient.
+    clamped zero rate keeps its constant coefficient.  A window without
+    detectable modes gives the empty spectrum, the zero-term sum.
     """
     est = pencil.analyze(trace)
-    if est.order == 0:
-        raise NoModesError("no detectable modes in the flux-free window")
     coeffs = pencil.fit_amplitudes(trace, est.rates)
     return FreeSpectrum(rates=est.rates, coefficients=coeffs, estimate=est)
 
 
-def transform_step_window(trace: SampleTrace, free: FreeSpectrum | None) -> SampleTrace:
+def transform_step_window(trace: SampleTrace, free: FreeSpectrum) -> SampleTrace:
     """Remove the free response from the flux-step window and add the drift back.
 
     The trace's start time is the flux switch time.  The result is indexed
@@ -105,11 +97,9 @@ def transform_step_window(trace: SampleTrace, free: FreeSpectrum | None) -> Samp
     ``(2 / lambda_n) exp(-lambda_n period * i)``.
     """
     i = np.arange(trace.values.size, dtype=float)
-    transformed = trace.values + trace.period * i
-    if free is not None and len(free):
-        with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
-            decay = np.exp(-np.outer(trace.times, free.rates))
-        transformed = transformed - decay @ free.coefficients
+    with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
+        decay = np.exp(-np.outer(trace.times, free.rates))
+    transformed = trace.values + trace.period * i - decay @ free.coefficients
     return SampleTrace(t_start=0.0, period=1.0, values=transformed)
 
 
@@ -120,11 +110,9 @@ class StepWindowResult:
     alpha: float
     coefficients: np.ndarray = field(repr=False)
     rates: np.ndarray = field(repr=False)
-    credibility: np.ndarray = field(repr=False)
     accepted: tuple[int, ...]
     alpha_by_index: dict[int, float]
     alpha_from_constant: float | None
-    estimate: pencil.PencilEstimate
 
 
 def _median(values: list[float]) -> float:
@@ -138,9 +126,7 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def alpha_from_step_window(
-    trace: SampleTrace, free: FreeSpectrum | None
-) -> StepWindowResult:
+def alpha_from_step_window(trace: SampleTrace, free: FreeSpectrum) -> StepWindowResult:
     """Estimate the diffusivity from the transformed flux-step window.
 
     Every mode of the transformed sum is present regardless of the initial
@@ -167,13 +153,11 @@ def alpha_from_step_window(
     # Python floats: a product past float64 reads inf, not credible, and
     # raises no numpy warning.
     rate_list, coeff_list = rates.tolist(), coeffs.tolist()
-    credibility = [math.inf] * rates.size
     alpha_by_index: dict[int, float] = {}
     candidates: list[float] = []
     accepted = []
     for j in range(1, rates.size):
-        credibility[j] = abs(coeff_list[j] * rate_list[j] / target - 1.0)
-        if credibility[j] <= _CREDIBILITY_TOL:
+        if abs(coeff_list[j] * rate_list[j] / target - 1.0) <= _CREDIBILITY_TOL:
             estimate = rate_list[j] / (j * j * PI_SQ * trace.period)
             if estimate > 0:
                 alpha_by_index[j] = estimate
@@ -192,11 +176,9 @@ def alpha_from_step_window(
         alpha=_median(candidates),
         coefficients=coeffs,
         rates=rates,
-        credibility=np.array(credibility),
         accepted=tuple(accepted),
         alpha_by_index=alpha_by_index,
         alpha_from_constant=alpha_from_constant,
-        estimate=est,
     )
 
 
@@ -367,7 +349,7 @@ class IdentificationResult:
     gcv_curve: np.ndarray = field(repr=False)
     certificate: bounds.ErrorCertificate | None
     step_window: StepWindowResult = field(repr=False)
-    free_spectrum: FreeSpectrum | None = field(repr=False)
+    free_spectrum: FreeSpectrum = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -394,10 +376,10 @@ def identify(
     window (its start time is taken as the flux switch time), and
     ``trace_rec`` the early reconstruction window.  ``priors`` is the
     ``(m0, alpha0)`` pair needed for the error certificate, checked before
-    any window is analyzed; without it the certificate is omitted.  An
-    initial state exciting no detectable free mode is tolerated: the
-    diffusivity still comes from the controlled window and the
-    reconstruction proceeds.
+    any window is analyzed; without it, or without a free mode, the
+    certificate is omitted.  An initial state exciting no detectable free
+    mode gives an empty free spectrum: the diffusivity still comes from the
+    controlled window and the reconstruction proceeds.
     """
     config = config or PipelineConfig()
     if priors is not None:
@@ -408,23 +390,12 @@ def identify(
             f"reconstruction window must start inside (0, t2), "
             f"got {trace_rec.t_start}"
         )
-    try:
-        free = free_window_spectrum(trace_free)
-    except NoModesError:
-        free = None
-
+    free = free_window_spectrum(trace_free)
     step = alpha_from_step_window(trace_step, free)
-
-    if free is not None:
-        indices, alpha_by_index, alpha_step4 = assign_mode_indices(
-            free.rates, step.alpha
-        )
-        free_modes = tuple(
-            zip(indices.tolist(), free.rates.tolist(), free.coefficients.tolist())
-        )
-    else:
-        alpha_by_index, alpha_step4 = {}, step.alpha
-        free_modes = ()
+    indices, alpha_by_index, alpha_step4 = assign_mode_indices(free.rates, step.alpha)
+    free_modes = tuple(
+        zip(indices.tolist(), free.rates.tolist(), free.coefficients.tolist())
+    )
 
     alpha_hat, alpha_rec = refine_alpha_from_trace(trace_rec, alpha_step4)
 
@@ -432,7 +403,7 @@ def identify(
     gcv_k, gcv_curve, u0_hat = gcv_select(design, trace_rec.values)
 
     certificate = None
-    if priors is not None and free is not None:
+    if priors is not None and free_modes:
         certificate = _certificate_for(
             free, trace_free, free_modes, alpha_hat, m0, alpha0
         )

@@ -268,7 +268,7 @@ class TestCertificateInputs:
         )
         est = PencilEstimate(
             order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(3),
-            truncated_pencil=jordan, pencil_parameter=2, sample_count=10,
+            truncated_pencil=jordan, pencil_parameter=2,
         )
         trace = SampleTrace(1.0, 1.0, np.ones(10))
         assert certificate_inputs(est, trace, 1.0, 1.0).kappa_xm == math.inf

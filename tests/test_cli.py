@@ -500,10 +500,14 @@ class TestBounds:
             ("M", False, "certificate block field 'M' is not a number: False"),
             ("mode_index", True, "input field 'mode_index' is not a number: True"),
             ("Ts", True, "certificate block field 'Ts' is not a number: True"),
+            ("M", "2", "certificate block field 'M' is not a number: '2'"),
+            ("Ts", "0.01", "certificate block field 'Ts' is not a number: '0.01'"),
+            ("mode_index", "1", "input field 'mode_index' is not a number: '1'"),
         ],
     )
     def test_fractional_or_boolean_field_refused(self, workspace, capsys, name, value, message):
-        # int() would truncate these, and a boolean would read as 0 or 1
+        # int() would truncate these, a boolean would read as 0 or 1, and
+        # float() or int() would parse a string
         result = self._result_path(workspace)
         data = json.loads(result.read_text())
         data["certificate"][name] = value
@@ -612,6 +616,13 @@ _PROBLEM = model.problem_to_dict(reference.reference_problem())
         ("problem", {**_PROBLEM, "u0_cosine": {"0": True}}, "'u0_cosine'"),
         ("problem", {**_PROBLEM, "control_series_terms": 10**6 + 1}, "'control_series_terms'"),
         ("problem", {**_PROBLEM, "control_series_terms": 10**400}, "'control_series_terms'"),
+        ("problem", {**_PROBLEM, "alpha": "4.0"}, "'alpha'"),
+        ("priors", {"M0": "15", "alpha0": "3"}, "'M0'"),
+        ("priors", {"M0": 15, "alpha0": "3"}, "'alpha0'"),
+        ("problem", {**_PROBLEM, "u0_cosine": {"0": "1.5"}}, "'0'"),
+        ("problem", {**_PROBLEM, "control_series_terms": "200"}, "'control_series_terms'"),
+        ("problem", {**_PROBLEM, "u0_cosine": {"1": 2.0, "01": 3.0}}, "'01'"),
+        ("problem", {**_PROBLEM, "u0_cosine": {"\u0661": 2.0}}, "'\u0661'"),
     ],
 )
 def test_malformed_json_exits_two_naming_it(workspace, capsys, role, payload, named):

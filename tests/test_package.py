@@ -8,7 +8,7 @@ def test_public_surface():
     # any change to what the package exports shows up as a diff of this list
     assert sorted(heatpencil.__all__) == [
         "BoundInputs", "CertificateUnavailableError", "ErrorCertificate", "HeatProblem",
-        "IdentificationError", "IdentificationResult", "NoModesError", "PencilError",
+        "IdentificationError", "IdentificationResult", "PencilError",
         "PencilEstimate", "PipelineConfig", "QuadratureError", "SampleTrace", "TraceError",
         "alpha_error_bound", "alpha_from_step_window", "analyze", "assign_mode_indices",
         "build_certificate", "build_design_matrix", "build_hankel",

@@ -13,7 +13,6 @@ from heatpencil.pipeline import (
     AmbiguousIndicesError,
     IdentificationError,
     ModeIndexRangeError,
-    NoModesError,
     PipelineConfig,
     _median,
     alpha_from_step_window,
@@ -33,6 +32,11 @@ def traces_for(problem):
     return sample_windows(problem, *reference.REFERENCE_SCHEDULE)
 
 
+def zero_spectrum():
+    """The free-window spectrum of a zero trace: no modes."""
+    return free_window_spectrum(SampleTrace(t_start=0.3, period=0.01, values=np.zeros(50)))
+
+
 class TestPipelineConfig:
     def test_only_the_estimator_parameters(self):
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
@@ -50,15 +54,16 @@ class TestFreeWindowSpectrum:
         problem = HeatProblem(1.0, {1: 1.0}, 0.3, 0.8, 1.3)
         trace, _, _ = traces_for(problem)
         free = free_window_spectrum(trace)
-        assert len(free) == 1
+        assert free.rates.size == 1
         assert free.rates[0] == pytest.approx(PI_SQ, rel=1e-6)
         assert free.coefficients[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_zero_profile_has_no_modes(self):
+        # the zero initial state is the zero-term sum: an empty spectrum
         problem = HeatProblem(1.0, {}, 0.3, 0.8, 1.3)
         trace, _, _ = traces_for(problem)
-        with pytest.raises(NoModesError):
-            free_window_spectrum(trace)
+        free = free_window_spectrum(trace)
+        assert free.rates.size == free.coefficients.size == free.estimate.order == 0
 
     def test_constant_mode_keeps_coefficient(self):
         problem = HeatProblem(4.0, {0: 0.5, 1: -2.0}, 0.3, 0.8, 1.3)
@@ -103,7 +108,7 @@ class TestTransformStepWindow:
     def test_zero_modes_zero_profile(self):
         problem = HeatProblem(4.0, {}, 0.3, 0.8, 1.3)
         _, trace_step, _ = traces_for(problem)
-        transformed = transform_step_window(trace_step, None)
+        transformed = transform_step_window(trace_step, zero_spectrum())
         i = np.arange(len(transformed))
         np.testing.assert_array_equal(
             transformed.values, trace_step.values + trace_step.period * i
@@ -130,7 +135,7 @@ class TestAlphaFromStepWindow:
         values = 5.0 * 0.3**i - 0.01 * i
         trace = SampleTrace(t_start=0.8, period=0.01, values=values)
         with pytest.raises(AlphaUnrecoverableError):
-            alpha_from_step_window(trace, None)
+            alpha_from_step_window(trace, zero_spectrum())
 
 
 class TestMedian:
@@ -460,11 +465,19 @@ class TestIdentify:
 
     def test_zero_profile_still_yields_alpha(self):
         problem = HeatProblem(4.0, {}, 0.3, 0.8, 1.3)
-        result = identify(*traces_for(problem))
-        assert result.free_modes == ()
-        assert result.alpha_hat == pytest.approx(4.0, abs=1e-6)
-        assert np.max(np.abs(result.u0_coeffs_hat)) < 1e-12
-        assert result.certificate is None
+        for priors in (None, (5.0, 3.0)):
+            result = identify(*traces_for(problem), priors=priors)
+            assert result.free_modes == ()
+            assert result.alpha_hat == pytest.approx(4.0, abs=1e-6)
+            assert np.max(np.abs(result.u0_coeffs_hat)) < 1e-12
+            candidates = result.alpha_candidates
+            assert candidates["free_window"] == {}
+            # the median of the controlled-window value alone is that value
+            assert (
+                candidates["index_assignment_median"] == candidates["controlled_window_median"]
+            )
+            # no free mode, no certificate, with or without priors
+            assert result.certificate is None
 
     @pytest.mark.parametrize("priors,message", [
         ((math.nan, 3.0), "m0 must be finite, got nan"),

@@ -10,7 +10,11 @@ package and the benchmark's seeded input generators are loaded from it, so
 the same script digests any two checkouts, including ones older than the
 script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 (seeds 1 and 2): a SHA-256 over every ``identify`` output of the pool, as
-``to_dict()`` JSON, refusal type and message, and warnings.  A last line
+``to_dict()`` JSON, refusal type and message, and warnings.  One line digests
+the same outputs on the edge problems no seeded pool holds: a zero initial
+state and a constant one (``u0 = 2``) on the ``batch`` windows (50/50/79
+samples), with no priors and with priors (5, 3), so the path of a free window
+without detectable modes is compared too.  A last line
 digests ``repro-paper``, ``identify --plot``, ``identify --plot
 --reference-problem``, ``bounds`` and ``simulate`` on the reference data,
 run in process through ``cli.main``: their exit codes, what they print to
@@ -61,22 +65,43 @@ def load_workloads(checkout: Path):
     return module
 
 
-def pool_digest(workloads, name: str, seed: int) -> str:
+def identify_line(traces, config, priors) -> bytes:
+    """One ``identify`` outcome as text: its ``to_dict()`` JSON or its
+    refusal, then its warnings."""
     from heatpencil import pipeline
 
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = pipeline.identify(*traces, config, priors)
+            line = json.dumps(result.to_dict(), sort_keys=True)
+        except Exception as exc:
+            line = f"{type(exc).__name__}: {exc}"
+    for w in caught:
+        line += f"\n{w.category.__name__}: {w.message}"
+    return line.encode() + b"\n\n"
+
+
+def pool_digest(workloads, name: str, seed: int) -> str:
     workload = workloads.make(name, None)
     h = hashlib.sha256()
     for item in workload.setup(seed):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = pipeline.identify(*item.traces, workload.config, item.priors)
-                line = json.dumps(result.to_dict(), sort_keys=True)
-            except Exception as exc:
-                line = f"{type(exc).__name__}: {exc}"
-        for w in caught:
-            line += f"\n{w.category.__name__}: {w.message}"
-        h.update(line.encode() + b"\n\n")
+        h.update(identify_line(item.traces, workload.config, item.priors))
+    return h.hexdigest()
+
+
+def edge_digest(workloads) -> str:
+    """The zero and the constant initial state on the ``batch`` windows,
+    without and with priors."""
+    from heatpencil import pipeline
+    from heatpencil.model import HeatProblem
+
+    config = pipeline.PipelineConfig()
+    h = hashlib.sha256()
+    for coeffs in ({}, {0: 2.0}):
+        traces = workloads.sample_windows(HeatProblem(4.0, coeffs, 0.3, 0.8, 1.3), 50, 50, 79)
+        for priors in (None, (5.0, 3.0)):
+            h.update(identify_line(traces, config, priors))
     return h.hexdigest()
 
 
@@ -121,6 +146,7 @@ def main(argv: list[str]) -> int:
     for seed in SEEDS:
         for name in POOLS:
             print(f"{name} seed {seed}: {pool_digest(workloads, name, seed)}", flush=True)
+    print(f"edge problems: {edge_digest(workloads)}", flush=True)
     first, second = artifact_digest(), artifact_digest()
     print(f"artifacts: {first}")
     if second != first:
