@@ -9,6 +9,12 @@ perturbation level rho, a Bauer-Fike style pole perturbation bound (valid
 only when rho < 1), and finally an interval for the identified diffusivity;
 :func:`build_certificate` runs it.
 
+The Bauer-Fike step holds for any matrix X that diagonalizes the truncated
+pencil product P = V_M B: on windows the pencil compressed, kappa is taken
+from the exact eigenbasis X = [V_M S, V_perp - V_M Z^-1 B V_perp], for which
+P X = X diag(lambda, 0) by construction; direct windows keep LAPACK's basis,
+whose rounding the published kappa records (:func:`certificate_inputs`).
+
 It also owns the file formats: the certificate block of ``result.json``, which
 :meth:`ErrorCertificate.to_dict` writes and :func:`read_certificate` reads, and
 the ``M0`` and ``alpha0`` of a priors file, which :func:`read_priors` reads.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PI_SQ, SampleTrace, _number
-from .pencil import PencilEstimate
+from .pencil import _COMPRESS_COLUMNS, PencilEstimate, TruncatedPencil
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -208,6 +214,24 @@ def condition_number(x: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
+def _exact_eigenbasis(pencil: TruncatedPencil) -> np.ndarray | None:
+    """``X = [V_M S, V_perp - V_M Z^-1 B V_perp]``, an exact eigenbasis of
+    the truncated product ``P = V_M B`` (see :func:`certificate_inputs`), or
+    None where the pole matrix Z is singular or so near it that the solve
+    overflows: a zero pole leaves X undefined."""
+    um, a, vm, vperp = pencil.um, pencil.sv, pencil.vm, pencil.vperp
+    uy1 = um.T @ pencil.y1
+    z = (uy1 @ vm) / a[:, None]  # as estimate_poles forms it
+    _, s = np.linalg.eig(z)
+    try:
+        c = np.linalg.solve(z, (uy1 @ vperp) / a[:, None])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(c).all():
+        return None
+    return np.hstack((vm @ s, vperp - vm @ c))
+
+
 def certificate_inputs(
     estimate: PencilEstimate, trace: SampleTrace, m0: float, alpha0: float
 ) -> BoundInputs:
@@ -218,11 +242,23 @@ def certificate_inputs(
     equal sigma_{M+1} differs at rounding level.  On a window the pencil
     compressed to Y's triangular factor R, Y0 and Y1 are ``Q.T @ Y0`` and
     ``Q.T @ Y1``, with the same 2-norms, gap and pencil product.
-    ``kappa_xm``, the condition number of the unit-column eigenvectors of
-    the truncated pencil product (+inf if they are numerically singular), is
-    reproducible only to rounding level: the product's large kernel has a
-    rounding-determined basis.  An estimate without signal, or a trace of 9
-    samples or fewer, raises :class:`CertificateUnavailableError`.
+
+    ``kappa_xm`` is the condition number of a matrix X that diagonalizes the
+    truncated L x L product P (+inf if X is numerically singular or does not
+    exist).  On a compressed window X is P's exact eigenbasis, with
+    B = A^-1 U_M.T Y1 and Z = B V_M = S diag(lambda) S^-1 the M x M pole
+    matrix:
+      1. P = V_M B;
+      2. P X = X diag(lambda, 0) for X = [V_M S, V_perp - V_M Z^-1 B V_perp];
+      3. Bauer-Fike (Numer. Math. 2, 1960) holds for any X that diagonalizes P.
+    It costs an M x M eig and solve, and it does not depend on the BLAS
+    kernel; a singular or defective Z gives +inf.  Direct windows
+    (L < ``_COMPRESS_COLUMNS``), the reference windows among them, keep the
+    unit-column eigenvectors of LAPACK's L x L eig, from which the published
+    kappa was computed: their basis of P's (L - M)-dimensional kernel is
+    chosen by rounding, so that kappa differs between BLAS kernels.  An
+    estimate without signal, or a trace of 9 samples or fewer, raises
+    :class:`CertificateUnavailableError`.
     """
     n = trace.values.size
     if n <= 9:
@@ -238,9 +274,13 @@ def certificate_inputs(
     gap, y1_norm = np.linalg.norm(
         np.stack(((um * a) @ vm.T - pencil.y0, pencil.y1)), 2, axis=(1, 2)
     ).tolist()
-    # Eigenvector matrix of the full (L x L) truncated product, unit columns.
-    _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
-    kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
+    if estimate.pencil_parameter >= _COMPRESS_COLUMNS:
+        x = _exact_eigenbasis(pencil)
+        kappa = math.inf if x is None else condition_number(x)
+    else:
+        # LAPACK's eigenvectors of the full (L x L) product, unit columns.
+        _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
+        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
         t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),

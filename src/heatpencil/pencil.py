@@ -117,8 +117,10 @@ class TruncatedPencil:
     Y's triangular factor R, so they are ``Q.T @ Y0`` and ``Q.T @ Y1`` with
     L+1 rows, which have the same singular values, 2-norms and pencil.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
-    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  At M = L, as
-    :func:`factor_pencil` returns it, the factors are Y0's whole thin SVD.
+    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  ``vperp`` holds the
+    trailing L - M right singular vectors of Y0, which complete ``vm`` to an
+    orthogonal basis.  At M = L, as :func:`factor_pencil` returns it, the
+    factors are Y0's whole thin SVD and ``vperp`` has no columns.
     """
 
     y0: np.ndarray = field(repr=False)
@@ -126,6 +128,7 @@ class TruncatedPencil:
     um: np.ndarray = field(repr=False)
     sv: np.ndarray = field(repr=False)
     vm: np.ndarray = field(repr=False)
+    vperp: np.ndarray = field(repr=False)
 
 
 def factor_pencil(y: np.ndarray) -> TruncatedPencil:
@@ -142,7 +145,8 @@ def factor_pencil(y: np.ndarray) -> TruncatedPencil:
     y0 = np.ascontiguousarray(y[:, length - 1 :: -1])
     y1 = np.ascontiguousarray(y[:, length:0:-1])
     u, s, vt = np.linalg.svd(y0, full_matrices=False)
-    return TruncatedPencil(y0=y0, y1=y1, um=u, sv=s, vm=vt.T)
+    v = vt.T
+    return TruncatedPencil(y0=y0, y1=y1, um=u, sv=s, vm=v, vperp=v[:, length:])
 
 
 def estimate_poles(
@@ -152,8 +156,8 @@ def estimate_poles(
     part, from the factorization :func:`factor_pencil` returns.
 
     Returns the possibly complex eigenvalues together with the factors
-    truncated to ``order``, from which the error certificate's spectral
-    inputs are read.
+    truncated to ``order`` (the trailing right singular vectors kept as
+    ``vperp``), from which the error certificate's spectral inputs are read.
     """
     rows, length = factors.y0.shape
     if not (1 <= order <= min(rows, length)):
@@ -168,7 +172,9 @@ def estimate_poles(
     z_e = (um.T @ factors.y1 @ vm) / a[:, None]
     eigvals = np.linalg.eigvals(z_e)
     eigvals = eigvals[np.argsort(-eigvals.real)]
-    return eigvals, TruncatedPencil(y0=factors.y0, y1=factors.y1, um=um, sv=a, vm=vm)
+    return eigvals, TruncatedPencil(
+        y0=factors.y0, y1=factors.y1, um=um, sv=a, vm=vm, vperp=factors.vm[:, order:]
+    )
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:

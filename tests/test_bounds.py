@@ -1,9 +1,16 @@
 import math
+import os
+import platform
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatpencil
 from heatpencil.bounds import (
     BoundInputs,
     CertificateUnavailableError,
@@ -22,6 +29,11 @@ from heatpencil.pencil import PencilEstimate, TruncatedPencil, analyze
 
 PI_SQ = math.pi**2
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def has_avx2():
+    cpuinfo = Path("/proc/cpuinfo")
+    return cpuinfo.exists() and re.search(r"\bavx2\b", cpuinfo.read_text()) is not None
 
 
 def reference_inputs(**overrides):
@@ -264,7 +276,8 @@ class TestCertificateInputs:
         # a Jordan block has one eigenvector: the eigenvector matrix is singular
         eye = np.eye(2)
         jordan = TruncatedPencil(
-            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye
+            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye,
+            vperp=np.zeros((2, 0)),
         )
         est = PencilEstimate(
             order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(3),
@@ -272,6 +285,59 @@ class TestCertificateInputs:
         )
         trace = SampleTrace(1.0, 1.0, np.ones(10))
         assert certificate_inputs(est, trace, 1.0, 1.0).kappa_xm == math.inf
+
+    @pytest.mark.parametrize("pole_matrix,finite", [
+        pytest.param([[0.9, 0.0], [0.0, 0.0]], False, id="zero-pole"),
+        pytest.param([[0.9, 0.0], [0.0, 1e-320]], False, id="subnormal-pole"),
+        pytest.param([[0.9, 1.0], [0.0, 0.9]], False, id="jordan-block"),
+        pytest.param([[0.9, -0.1], [0.1, 0.9]], True, id="complex-pair"),
+    ])
+    def test_compressed_window_pole_matrix_edges(self, pole_matrix, finite):
+        # a compressed window's rank-2 factors whose pole matrix Z is the
+        # top-left block of y1, with Y1 reaching past Y0's row space; a
+        # subnormal pole overflows the solve rather than stopping it
+        length = heatpencil.pencil._COMPRESS_COLUMNS
+        um, vm = np.eye(length + 1, 2), np.eye(length)
+        y1 = np.zeros((length + 1, length))
+        y1[:2, :2] = pole_matrix
+        y1[:2, 2] = (0.5, 0.25)
+        factors = TruncatedPencil(
+            y0=um @ vm[:, :2].T, y1=y1, um=um, sv=np.ones(2), vm=vm[:, :2], vperp=vm[:, 2:]
+        )
+        est = PencilEstimate(
+            order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(length),
+            truncated_pencil=factors, pencil_parameter=length,
+        )
+        trace = SampleTrace(1.0, 1.0, np.ones(3 * length))
+        kappa = certificate_inputs(est, trace, 1.0, 1.0).kappa_xm
+        assert math.isfinite(kappa) == finite
+        assert kappa >= 1.0
+
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64" or not has_avx2(),
+        reason="selects x86_64 OpenBLAS kernels that need AVX2",
+    )
+    def test_compressed_kappa_does_not_depend_on_the_blas_kernel(self):
+        # LAPACK's basis of the product's kernel is chosen by rounding, and
+        # its kappa moved by several percent between these kernels on this
+        # window; the exact eigenbasis does not
+        script = (
+            "from heatpencil import reference, pipeline\n"
+            "from heatpencil.model import sample_windows\n"
+            "traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)\n"
+            "result = pipeline.identify(*traces, None, reference.REFERENCE_PRIORS)\n"
+            "print(repr(result.certificate.inputs.kappa_xm))\n"
+        )
+        src = str(Path(heatpencil.__file__).parents[1])
+        kappas = []
+        for kernel in ("Haswell", "Sandybridge"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True)
+            kappas.append(float(run.stdout))
+        assert math.isfinite(kappas[0])
+        assert kappas[1] == pytest.approx(kappas[0], rel=1e-6)
 
     def test_nine_samples_withhold_the_certificate(self):
         trace = exp_trace([2.0, 1.0], [0.6, 0.3], 9)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatpencil import pencil, reference
-from heatpencil.bounds import build_certificate, certificate_inputs
+from heatpencil.bounds import _exact_eigenbasis, build_certificate, certificate_inputs
 from heatpencil.model import HeatProblem, SampleTrace, sample, sample_windows
 from heatpencil.pencil import (
     DegenerateRatesError,
@@ -374,6 +374,30 @@ class TestCompressedPath:
             for inputs in (c_in, d_in):
                 assert build_certificate(inputs).rho < 1.0
                 assert math.isfinite(inputs.kappa_xm)
+
+    @pytest.mark.parametrize("seed,alpha_range", [
+        pytest.param(7, (1.0, 2.0), id="alpha-1-to-2"),
+        pytest.param(8, (3.0, 8.0), id="alpha-3-to-8"),
+    ])
+    def test_kappa_from_the_exact_eigenbasis(self, seed, alpha_range):
+        # X diagonalizes the L x L product to rounding, and its condition
+        # number is that of the M x M pole matrix's unit eigenvectors W
+        rng = np.random.default_rng(seed)
+        eps = np.finfo(float).eps
+        for _ in range(24):
+            count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
+            trace, (m0, alpha0) = free_window(rng, alpha_range, count)
+            est = analyze(trace)
+            tp = est.truncated_pencil
+            product = ((tp.vm / tp.sv) @ tp.um.T) @ tp.y1
+            lam, w = np.linalg.eig((tp.um.T @ tp.y1 @ tp.vm) / tp.sv[:, None])
+            x = _exact_eigenbasis(tp)
+            assert x.shape == product.shape
+            lam_x = np.concatenate((lam, np.zeros(est.pencil_parameter - lam.size)))
+            residual = np.linalg.norm(product @ x - x * lam_x, 2)
+            assert residual <= 1e3 * eps * np.linalg.norm(product, 2) * np.linalg.norm(x, 2)
+            kappa = certificate_inputs(est, trace, m0, alpha0).kappa_xm
+            assert kappa == pytest.approx(np.linalg.cond(w), rel=1e-6)
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_block_rows_switch_at_the_constant(self, offset):

@@ -357,7 +357,12 @@ class TestFactorizationCounts:
     KINDS = ("svd", "eig", "eigvals", "lstsq", "qr")
 
     @pytest.fixture()
-    def counts(self, monkeypatch):
+    def shapes(self):
+        """The shape of the matrix each counted call received, by kind."""
+        return {kind: [] for kind in self.KINDS}
+
+    @pytest.fixture()
+    def counts(self, monkeypatch, shapes):
         # numpy.linalg.norm reaches svd through its own module's global, so
         # both the public namespace and the implementation module are wrapped
         calls = dict.fromkeys(self.KINDS, 0)
@@ -367,6 +372,7 @@ class TestFactorizationCounts:
 
             def counted(*args, _kind=kind, _original=original, **kwargs):
                 calls[_kind] += 1
+                shapes[_kind].append(np.shape(args[0]))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, kind, counted)
@@ -395,13 +401,17 @@ class TestFactorizationCounts:
         assert counts["lstsq"] == 2
         assert counts["qr"] == 0
 
-    def test_long_windows_factor_each_hankel_matrix_once(self, counts):
+    def test_long_windows_factor_each_hankel_matrix_once(self, counts, shapes):
         # 300/300/474 samples: L = 100, 100 and 158, each window compressed
-        # by one QR, and otherwise the reference's factorizations
+        # by one QR, and otherwise the reference's factorizations; the
+        # certificate's one eig is of the M x M pole matrix, not L x L
         traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
         result = identify(*traces, None, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
         assert counts == {"svd": 6, "eig": 1, "eigvals": 3, "lstsq": 2, "qr": 3}
+        order = result.free_spectrum.estimate.truncated_pencil.sv.size
+        assert order < result.certificate.inputs.l == 100
+        assert shapes["eig"] == [(order, order)]
 
 
 class TestIdentify:

@@ -1,10 +1,15 @@
-"""The refusal surface of ``identify`` under generated inputs.
+"""The refusal surface of ``identify`` under generated inputs, and the
+certificate's pole bound on compressed windows.
 
 Finite, well-formed traces must either be identified or refused with one of
 the program's own error types; a clock that cannot time its samples is
 refused when the trace is built.  Bare numpy errors and RuntimeWarnings
 (errors under the suite's filter) fail the property.  On the command line,
 each such refusal exits 2 with one ``error`` line on stderr.
+
+On noiseless windows long enough for the pencil to compress them, with
+priors consistent with the truth, every certificate that names a mode puts
+that mode's true pole within its pole bound of the estimated one.
 
 Hypothesis draws some values from the literals of the modules loaded in the
 session, so which generated examples run depends on what else was
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 from heatpencil import pencil
 from heatpencil.cli import main
 from heatpencil.model import (
+    PI_SQ,
     HeatProblem,
     SampleTrace,
     TraceError,
@@ -150,3 +156,39 @@ def test_cli_refusal_exits_two_with_one_stderr_line(case):
         assert lines == [f"error ({type(exc).__name__}): {exc}"]
     else:
         assert (rc, lines) == (0, [])
+
+
+@st.composite
+def compressed_cases(draw):
+    """A noiseless problem on the long windows' schedule, sampled with 142 to
+    330 samples per window (L = 48 to 110), and priors M0 >= |u0|,
+    alpha0 <= alpha."""
+    alpha = draw(st.floats(1.0, 10.0))
+    coeffs = {
+        n: draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        for n in range(draw(st.integers(2, 5)))
+    }
+    problem = HeatProblem(alpha, coeffs, 0.3, 0.8, 1.3)
+    priors = (
+        problem.u0_l2_norm() * draw(st.floats(1.0, 2.0)),
+        alpha * draw(st.floats(0.5, 1.0)),
+    )
+    return problem, draw(st.integers(142, 330)), priors
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(compressed_cases())
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
+def test_pole_bound_holds_on_compressed_windows(case):
+    problem, count, priors = case
+    traces = sample_windows(problem, count, count, 0.01, count)
+    assert pencil.resolve_pencil_parameter(count) >= pencil._COMPRESS_COLUMNS
+    try:
+        cert = identify(*traces, None, priors).certificate
+    except (IdentificationError, pencil.PencilError):
+        return
+    if cert is None or cert.mode_index is None:
+        return
+    period = traces[0].period
+    true_pole = math.exp(-problem.alpha * cert.mode_index**2 * PI_SQ * period)
+    assert abs(true_pole - cert.z_tilde) <= cert.pole_bound
