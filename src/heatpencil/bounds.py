@@ -9,11 +9,23 @@ perturbation level rho, a Bauer-Fike style pole perturbation bound (valid
 only when rho < 1), and finally an interval for the identified diffusivity;
 :func:`build_certificate` runs it.
 
-The Bauer-Fike step holds for any matrix X that diagonalizes the truncated
-pencil product P = V_M B: on windows the pencil compressed, kappa is taken
-from the exact eigenbasis X = [V_M S, V_perp - V_M Z^-1 B V_perp], for which
-P X = X diag(lambda, 0) by construction; direct windows keep LAPACK's basis,
-whose rounding the published kappa records (:func:`certificate_inputs`).
+On windows the pencil compressed, the spectral inputs come from the pole
+solve's own numbers (:func:`certificate_inputs`): the truncation gap is Y0's
+computed sigma_{M+1} plus a rounding allowance eps * sigma_1, ||Y1||_2 is
+bounded by hypot(sigma_1(Y0), ||c||), c the column Y0 lacks, and kappa is
+that of the exact eigenbasis of the truncated pencil product, taken from a
+matrix of at most 2M x 2M.  The allowance covers the computed singular
+value's error: LAPACK's SVD is backward stable, so sigma-hat_i is an exact
+singular value of Y0 + E with ||E||_2 <= p(m, n) eps ||Y0||_2, p a modestly
+growing function of the shape (LAPACK Users' Guide, 3rd ed., section 4.9),
+and Weyl's inequality gives |sigma-hat_i - sigma_i| <= ||E||_2.  That p is
+a worst case: taking it as sqrt(rows * cols) widens the ``long`` pole
+bounds a median 58x, while sigma-hat_{M+1} moves between the Haswell and
+Sandybridge OpenBLAS kernels by less than 0.61 eps sigma_1 on the seed-1
+``long`` pool; so the allowance takes p = 1.  Direct windows, the reference
+ones among them, keep the explicit subtraction for the gap, LAPACK's 2-norm
+of Y1 and LAPACK's L x L eigenbasis for kappa, whose rounding the published
+values record.
 
 It also owns the file formats: the certificate block of ``result.json``, which
 :meth:`ErrorCertificate.to_dict` writes and :func:`read_certificate` reads, and
@@ -28,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pencil
 from .model import PI_SQ, SampleTrace, _number
-from .pencil import _COMPRESS_COLUMNS, PencilEstimate, TruncatedPencil
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -214,49 +226,61 @@ def condition_number(x: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def _exact_eigenbasis(pencil: TruncatedPencil) -> np.ndarray | None:
-    """``X = [V_M S, V_perp - V_M Z^-1 B V_perp]``, an exact eigenbasis of
-    the truncated product ``P = V_M B`` (see :func:`certificate_inputs`), or
-    None where the pole matrix Z is singular or so near it that the solve
-    overflows: a zero pole leaves X undefined."""
-    um, a, vm, vperp = pencil.um, pencil.sv, pencil.vm, pencil.vperp
-    uy1 = um.T @ pencil.y1
+def _compressed_kappa(factors: pencil.TruncatedPencil) -> float:
+    """kappa of the exact eigenbasis X of the truncated product ``P = V_M B``
+    (see :func:`certificate_inputs`) from M-sized work, or +inf where X is
+    numerically singular or the pole matrix Z is singular or so near it that
+    the solve overflows: a zero pole leaves X undefined."""
+    um, a, vm = factors.um, factors.sv, factors.vm
+    uy1 = um.T @ factors.y1
     z = (uy1 @ vm) / a[:, None]  # as estimate_poles forms it
     _, s = np.linalg.eig(z)
     try:
-        c = np.linalg.solve(z, (uy1 @ vperp) / a[:, None])
+        c = np.linalg.solve(z, (uy1 @ factors.vperp) / a[:, None])
     except np.linalg.LinAlgError:
-        return None
+        return math.inf
     if not np.isfinite(c).all():
-        return None
-    return np.hstack((vm @ s, vperp - vm @ c))
+        return math.inf
+    p, sigma, _ = np.linalg.svd(c, full_matrices=False)
+    k = sigma.size
+    return condition_number(np.block([[s, -p * sigma], [np.zeros((k, a.size)), np.eye(k)]]))
 
 
 def certificate_inputs(
-    estimate: PencilEstimate, trace: SampleTrace, m0: float, alpha0: float
+    estimate: pencil.PencilEstimate, trace: SampleTrace, m0: float, alpha0: float
 ) -> BoundInputs:
     """The certificate's inputs for the pole solve ``estimate`` of ``trace``.
 
-    The truncation gap is taken by explicit subtraction of Y0 from its
-    rank-M truncation, as the reference results were; the mathematically
-    equal sigma_{M+1} differs at rounding level.  On a window the pencil
-    compressed to Y's triangular factor R, Y0 and Y1 are ``Q.T @ Y0`` and
-    ``Q.T @ Y1``, with the same 2-norms, gap and pencil product.
+    On a window the pencil compressed to Y's triangular factor R
+    (L >= ``pencil._COMPRESS_COLUMNS``), Y0 and Y1 are ``Q.T @ Y0`` and
+    ``Q.T @ Y1``, with the same 2-norms, gap and pencil product, and no
+    factorization is larger than M x (L - M):
+      1. the gap ||Y0 - Y0_M||_2 = sigma_{M+1} is read as
+         ``singular_values[M] + eps * singular_values[0]`` (the allowance
+         alone at M = L; see the module docstring);
+      2. ``y1_norm`` is ``hypot(sigma_1(Y0), ||c||)``, c = ``y1[:, 0]``: Y1's
+         columns are among those of Y = [Y0, c], and
+         ||Y||^2 <= ||Y0||^2 + ||c||^2;
+      3. ``kappa_xm`` is the condition number of an exact eigenbasis X of
+         the truncated L x L product P = V_M B, with B = A^-1 U_M.T Y1 and
+         Z = B V_M = S diag(lambda) S^-1 the M x M pole matrix:
+         P X = X diag(lambda, 0) for X = [V_M S, V_perp - V_M C],
+         C = Z^-1 B V_perp, and Bauer-Fike (Numer. Math. 2, 1960) holds for
+         any X that diagonalizes P.  In the orthonormal basis [V_M, V_perp],
+         X is [[S, -C], [0, I]]; with C = P' Sigma Q.T its thin SVD, X has
+         the singular values of K = [[S, -P' Sigma], [0, I_k]],
+         k = min(M, L - M), plus L - M - k ones, which lie between K's
+         extremes.  Forming C C.T as Z^-1 B B.T Z^-T - I instead would lose
+         half the digits to cancellation.  The value does not depend on the
+         BLAS kernel; a singular or defective Z gives +inf.
 
-    ``kappa_xm`` is the condition number of a matrix X that diagonalizes the
-    truncated L x L product P (+inf if X is numerically singular or does not
-    exist).  On a compressed window X is P's exact eigenbasis, with
-    B = A^-1 U_M.T Y1 and Z = B V_M = S diag(lambda) S^-1 the M x M pole
-    matrix:
-      1. P = V_M B;
-      2. P X = X diag(lambda, 0) for X = [V_M S, V_perp - V_M Z^-1 B V_perp];
-      3. Bauer-Fike (Numer. Math. 2, 1960) holds for any X that diagonalizes P.
-    It costs an M x M eig and solve, and it does not depend on the BLAS
-    kernel; a singular or defective Z gives +inf.  Direct windows
-    (L < ``_COMPRESS_COLUMNS``), the reference windows among them, keep the
-    unit-column eigenvectors of LAPACK's L x L eig, from which the published
-    kappa was computed: their basis of P's (L - M)-dimensional kernel is
-    chosen by rounding, so that kappa differs between BLAS kernels.  An
+    Direct windows, the reference ones among them, keep what the published
+    values were computed with, until the reference computes them itself:
+    the gap by explicit subtraction of Y0 from its rank-M truncation, which
+    equals sigma_{M+1} up to rounding, LAPACK's 2-norm of Y1, and the
+    unit-column eigenvectors of LAPACK's L x L eig, whose basis of P's
+    (L - M)-dimensional kernel is chosen by rounding, so that kappa differs
+    between BLAS kernels (+inf where they are numerically singular).  An
     estimate without signal, or a trace of 9 samples or fewer, raises
     :class:`CertificateUnavailableError`.
     """
@@ -265,21 +289,25 @@ def certificate_inputs(
         raise CertificateUnavailableError(
             f"certificate unavailable (the bounds require more than 9 samples, got {n})"
         )
-    pencil = estimate.truncated_pencil
-    if pencil is None:
+    factors = estimate.truncated_pencil
+    if factors is None:
         raise CertificateUnavailableError("certificate unavailable (no signal detected)")
-    um, a, vm = pencil.um, pencil.sv, pencil.vm
-    # Both 2-norms in one call: the residual and Y1 share Y0's shape, and
-    # each matrix reaches LAPACK as it would alone.
-    gap, y1_norm = np.linalg.norm(
-        np.stack(((um * a) @ vm.T - pencil.y0, pencil.y1)), 2, axis=(1, 2)
-    ).tolist()
-    if estimate.pencil_parameter >= _COMPRESS_COLUMNS:
-        x = _exact_eigenbasis(pencil)
-        kappa = math.inf if x is None else condition_number(x)
+    um, a, vm = factors.um, factors.sv, factors.vm
+    if estimate.pencil_parameter >= pencil._COMPRESS_COLUMNS:
+        sigma = estimate.singular_values
+        s1 = float(sigma[0])
+        tail = float(sigma[a.size]) if a.size < sigma.size else 0.0
+        gap = tail + float(np.finfo(float).eps) * s1
+        y1_norm = math.hypot(s1, *factors.y1[:, 0].tolist())
+        kappa = _compressed_kappa(factors)
     else:
+        # Both 2-norms in one call: the residual and Y1 share Y0's shape, and
+        # each matrix reaches LAPACK as it would alone.
+        gap, y1_norm = np.linalg.norm(
+            np.stack(((um * a) @ vm.T - factors.y0, factors.y1)), 2, axis=(1, 2)
+        ).tolist()
         # LAPACK's eigenvectors of the full (L x L) product, unit columns.
-        _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ pencil.y1)
+        _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ factors.y1)
         kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,

@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -51,6 +52,11 @@ _CSV_BLOCK_ROWS = 2**16  # trace rows formatted per write; bounds the text held
 _PROFILE_GRID = np.linspace(0.0, 1.0, 1001)
 _PROFILE_GRID.flags.writeable = False
 _PROFILE_ROWS = 64
+
+# The read-only sample times of the live traces, one array per clock
+# (t_start, period, count): traces on equal clocks share it, so a pool of
+# windows holds one copy per clock, and it goes with the last of them.
+_SAMPLE_TIMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class QuadratureError(RuntimeError):
@@ -126,11 +132,16 @@ class HeatProblem:
 
 @dataclass(frozen=True)
 class SampleTrace:
-    """Uniformly sampled boundary observation."""
+    """Uniformly sampled boundary observation.
+
+    ``values`` and the sample ``times`` are read-only arrays; ``times`` is
+    computed once per clock and shared by the traces alive on that clock.
+    """
 
     t_start: float
     period: float
     values: np.ndarray = field(repr=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("t_start", "period"):
@@ -147,23 +158,25 @@ class SampleTrace:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        # the last sample time as ``times`` computes it, checked before the
-        # array is formed so that an overflow raises no warning
-        last = float(self.t_start) + float(self.period) * (values.size - 1)
-        if math.isfinite(last):
-            times = self.times
-        if not math.isfinite(last) or not (times[1:] > times[:-1]).all():
-            raise TraceError(
-                f"trace t_start {self.t_start!r} and period {self.period!r} do not give "
-                f"{values.size} finite, strictly increasing sample times"
-            )
+        clock = (float(self.t_start), float(self.period), values.size)
+        times = _SAMPLE_TIMES.get(clock)
+        if times is None:
+            # the last sample time, checked before the times are formed so
+            # that an overflow raises no warning
+            last = clock[0] + clock[1] * (values.size - 1)
+            if math.isfinite(last):
+                times = self.t_start + self.period * np.arange(values.size)
+            if not math.isfinite(last) or not (times[1:] > times[:-1]).all():
+                raise TraceError(
+                    f"trace t_start {self.t_start!r} and period {self.period!r} do not "
+                    f"give {values.size} finite, strictly increasing sample times"
+                )
+            times.flags.writeable = False
+            _SAMPLE_TIMES[clock] = times
+        object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t_start + self.period * np.arange(self.values.size)
 
 
 def evaluate_cosine_series(coeffs: Mapping[int, float], x) -> np.ndarray:

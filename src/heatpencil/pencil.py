@@ -119,8 +119,11 @@ class TruncatedPencil:
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
     eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  ``vperp`` holds the
     trailing L - M right singular vectors of Y0, which complete ``vm`` to an
-    orthogonal basis.  At M = L, as :func:`factor_pencil` returns it, the
-    factors are Y0's whole thin SVD and ``vperp`` has no columns.
+    orthogonal basis; only the certificate reads it, on compressed windows,
+    for the M x (L - M) block of the pencil product's exact eigenbasis
+    (:func:`heatpencil.bounds.certificate_inputs`).  At M = L, as
+    :func:`factor_pencil` returns it, the factors are Y0's whole thin SVD
+    and ``vperp`` has no columns.
     """
 
     y0: np.ndarray = field(repr=False)

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -626,6 +627,20 @@ class TestSampleTrace:
         trace = SampleTrace(0.3, 0.01, np.zeros(3))
         with pytest.raises(ValueError):
             trace.values[0] = 1.0
+
+    def test_times_built_once_per_clock(self):
+        # one read-only array per clock, the clock check's own, shared by the
+        # live traces on that clock and dropped with the last of them
+        trace = SampleTrace(0.123, 0.007, np.zeros(37))
+        assert trace.times.tobytes() == (0.123 + 0.007 * np.arange(37)).tobytes()
+        with pytest.raises(ValueError):
+            trace.times[0] = 1.0
+        same = SampleTrace(np.float64(0.123), 0.007, np.ones(37))
+        assert same.times is trace.times
+        assert SampleTrace(0.123, 0.007, np.zeros(38)).times is not trace.times
+        times = weakref.ref(trace.times)
+        del trace, same
+        assert times() is None
 
 
 @st.composite

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatpencil import pencil, reference
-from heatpencil.bounds import _exact_eigenbasis, build_certificate, certificate_inputs
+from heatpencil.bounds import build_certificate, certificate_inputs
 from heatpencil.model import HeatProblem, SampleTrace, sample, sample_windows
 from heatpencil.pencil import (
     DegenerateRatesError,
@@ -321,12 +321,29 @@ class TestCompressedPath:
     factor R of ``Y = QR``; the direct path solves on Y itself."""
 
     @staticmethod
-    def both_paths(trace, monkeypatch):
+    def both_paths(trace, priors, monkeypatch):
+        """The estimate of ``trace`` and its certificate inputs, on the
+        compressed path and then on the direct one; ``certificate_inputs``
+        reads the constant through ``pencil``, so the patch reaches it."""
         compressed = analyze(trace)
+        c_in = certificate_inputs(compressed, trace, *priors)
         with monkeypatch.context() as m:
             m.setattr(pencil, "_COMPRESS_COLUMNS", sys.maxsize)
             direct = analyze(trace)
-        return compressed, direct
+            d_in = certificate_inputs(direct, trace, *priors)
+        return compressed, direct, c_in, d_in
+
+    @staticmethod
+    def check_y1_norms(trace, compressed, c_in, d_in):
+        # the direct path takes LAPACK's 2-norm of Y1; the compressed one
+        # bounds it by hypot(sigma_1(Y0), |c|), c the column Y0 lacks
+        y1_norm = svdvals(build_hankel(trace)[:, 1:])[0]
+        assert d_in.y1_norm == pytest.approx(y1_norm, rel=1e-14)
+        bound = math.hypot(
+            compressed.singular_values[0], np.linalg.norm(compressed.truncated_pencil.y1[:, 0])
+        )
+        assert y1_norm <= c_in.y1_norm == pytest.approx(bound, rel=1e-14)
+        assert c_in.y1_norm <= 1.03 * d_in.y1_norm
 
     def test_matches_the_direct_hankel_svd(self, monkeypatch):
         # alpha in [1, 2] keeps both modes within 1e-2 of each other in
@@ -334,8 +351,8 @@ class TestCompressedPath:
         rng = np.random.default_rng(7)
         for _ in range(24):
             count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
-            trace, (m0, alpha0) = free_window(rng, (1.0, 2.0), count)
-            compressed, direct = self.both_paths(trace, monkeypatch)
+            trace, priors = free_window(rng, (1.0, 2.0), count)
+            compressed, direct, c_in, d_in = self.both_paths(trace, priors, monkeypatch)
             assert compressed.pencil_parameter >= pencil._COMPRESS_COLUMNS
             assert compressed.order == direct.order == 2
             np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
@@ -344,10 +361,8 @@ class TestCompressedPath:
             np.testing.assert_allclose(
                 compressed.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0]
             )
-            c_in = certificate_inputs(compressed, trace, m0, alpha0)
-            d_in = certificate_inputs(direct, trace, m0, alpha0)
             assert c_in.sigma_m == pytest.approx(d_in.sigma_m, rel=1e-10)
-            assert c_in.y1_norm == pytest.approx(d_in.y1_norm, rel=1e-10)
+            self.check_y1_norms(trace, compressed, c_in, d_in)
             for inputs in (c_in, d_in):
                 assert build_certificate(inputs).rho < 1.0
                 assert math.isfinite(inputs.kappa_xm)
@@ -360,17 +375,15 @@ class TestCompressedPath:
         eps = np.finfo(float).eps
         for _ in range(24):
             count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
-            trace, (m0, alpha0) = free_window(rng, (3.0, 8.0), count)
-            compressed, direct = self.both_paths(trace, monkeypatch)
+            trace, priors = free_window(rng, (3.0, 8.0), count)
+            compressed, direct, c_in, d_in = self.both_paths(trace, priors, monkeypatch)
             assert compressed.order == direct.order == 2
-            c_in = certificate_inputs(compressed, trace, m0, alpha0)
-            d_in = certificate_inputs(direct, trace, m0, alpha0)
             sigma_1 = direct.singular_values[0]
             assert abs(c_in.sigma_m - d_in.sigma_m) <= 1e3 * eps * sigma_1
             assert np.max(np.abs(compressed.poles - direct.poles)) <= (
                 1e3 * eps * sigma_1 / d_in.sigma_m
             )
-            assert c_in.y1_norm == pytest.approx(d_in.y1_norm, rel=1e-10)
+            self.check_y1_norms(trace, compressed, c_in, d_in)
             for inputs in (c_in, d_in):
                 assert build_certificate(inputs).rho < 1.0
                 assert math.isfinite(inputs.kappa_xm)
@@ -380,8 +393,10 @@ class TestCompressedPath:
         pytest.param(8, (3.0, 8.0), id="alpha-3-to-8"),
     ])
     def test_kappa_from_the_exact_eigenbasis(self, seed, alpha_range):
-        # X diagonalizes the L x L product to rounding, and its condition
-        # number is that of the M x M pole matrix's unit eigenvectors W
+        # X = [V_M S, V_perp - V_M Z^-1 B V_perp] diagonalizes the L x L
+        # product to rounding; the certificate's kappa, taken from 2M x 2M
+        # work, is its condition number, and that of the M x M pole
+        # matrix's unit eigenvectors S
         rng = np.random.default_rng(seed)
         eps = np.finfo(float).eps
         for _ in range(24):
@@ -389,15 +404,48 @@ class TestCompressedPath:
             trace, (m0, alpha0) = free_window(rng, alpha_range, count)
             est = analyze(trace)
             tp = est.truncated_pencil
-            product = ((tp.vm / tp.sv) @ tp.um.T) @ tp.y1
-            lam, w = np.linalg.eig((tp.um.T @ tp.y1 @ tp.vm) / tp.sv[:, None])
-            x = _exact_eigenbasis(tp)
+            b = (tp.um.T @ tp.y1) / tp.sv[:, None]
+            product = tp.vm @ b
+            z = b @ tp.vm
+            lam, s = np.linalg.eig(z)
+            x = np.hstack((tp.vm @ s, tp.vperp - tp.vm @ np.linalg.solve(z, b @ tp.vperp)))
             assert x.shape == product.shape
             lam_x = np.concatenate((lam, np.zeros(est.pencil_parameter - lam.size)))
             residual = np.linalg.norm(product @ x - x * lam_x, 2)
             assert residual <= 1e3 * eps * np.linalg.norm(product, 2) * np.linalg.norm(x, 2)
             kappa = certificate_inputs(est, trace, m0, alpha0).kappa_xm
-            assert kappa == pytest.approx(np.linalg.cond(w), rel=1e-6)
+            assert kappa == pytest.approx(np.linalg.cond(x), rel=1e-12)
+            assert kappa == pytest.approx(np.linalg.cond(s), rel=1e-6)
+
+    def test_gap_is_the_next_singular_value_plus_rounding(self):
+        # sigma_{M+1}(Y0) plus eps * sigma_1 on a compressed window, and the
+        # allowance alone where M = L leaves no singular value out
+        rng = np.random.default_rng(9)
+        eps = np.finfo(float).eps
+        for _ in range(8):
+            count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
+            trace, priors = free_window(rng, (1.0, 8.0), count)
+            est = analyze(trace)
+            sigma = est.singular_values
+            order = est.truncated_pencil.sv.size
+            assert order < est.pencil_parameter
+            gap = certificate_inputs(est, trace, *priors).y0_trunc_gap
+            assert gap == float(sigma[order]) + float(eps) * float(sigma[0])
+        # Y0's whole thin SVD with the pole matrix diag(poles)
+        length = pencil._COMPRESS_COLUMNS
+        sigma, poles = np.linspace(2.0, 1.0, length), np.linspace(0.9, 0.5, length)
+        um, vm = np.eye(length + 1, length), np.eye(length)
+        full = pencil.TruncatedPencil(
+            y0=um * sigma, y1=um * (sigma * poles), um=um, sv=sigma, vm=vm,
+            vperp=vm[:, length:],
+        )
+        est = pencil.PencilEstimate(
+            order=length, poles=poles, rates=np.zeros(length), singular_values=sigma,
+            truncated_pencil=full, pencil_parameter=length,
+        )
+        inputs = certificate_inputs(est, SampleTrace(1.0, 1.0, np.ones(3 * length)), 1.0, 1.0)
+        assert inputs.y0_trunc_gap == float(eps) * 2.0
+        assert inputs.kappa_xm == 1.0
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_block_rows_switch_at_the_constant(self, offset):

@@ -404,7 +404,9 @@ class TestFactorizationCounts:
     def test_long_windows_factor_each_hankel_matrix_once(self, counts, shapes):
         # 300/300/474 samples: L = 100, 100 and 158, each window compressed
         # by one QR, and otherwise the reference's factorizations; the
-        # certificate's one eig is of the M x M pole matrix, not L x L
+        # certificate factors nothing L-sized: its one eig is of the M x M
+        # pole matrix, its SVDs of the M x (L - M) block C and of a matrix
+        # of at most 2M x 2M
         traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
         result = identify(*traces, None, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
@@ -412,6 +414,10 @@ class TestFactorizationCounts:
         order = result.free_spectrum.estimate.truncated_pencil.sv.size
         assert order < result.certificate.inputs.l == 100
         assert shapes["eig"] == [(order, order)]
+        pencils = [(101, 100), (101, 100), (159, 158)]  # Y0's block of each R
+        design = (474, result.u0_coeffs_hat.size)  # the GCV design matrix
+        assert shapes["svd"][:4] == [*pencils, design]
+        assert shapes["svd"][4:] == [(order, 100 - order), (2 * order, 2 * order)]
 
 
 class TestIdentify:
