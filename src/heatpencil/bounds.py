@@ -9,23 +9,23 @@ perturbation level rho, a Bauer-Fike style pole perturbation bound (valid
 only when rho < 1), and finally an interval for the identified diffusivity;
 :func:`build_certificate` runs it.
 
-On windows the pencil compressed, the spectral inputs come from the pole
-solve's own numbers (:func:`certificate_inputs`): the truncation gap is Y0's
+The spectral inputs come from the pole solve's own numbers
+(:func:`certificate_inputs`), on every window: the truncation gap is Y0's
 computed sigma_{M+1} plus a rounding allowance eps * sigma_1, ||Y1||_2 is
 bounded by hypot(sigma_1(Y0), ||c||), c the column Y0 lacks, and kappa is
 that of the exact eigenbasis of the truncated pencil product, taken from a
-matrix of at most 2M x 2M.  The allowance covers the computed singular
-value's error: LAPACK's SVD is backward stable, so sigma-hat_i is an exact
-singular value of Y0 + E with ||E||_2 <= p(m, n) eps ||Y0||_2, p a modestly
-growing function of the shape (LAPACK Users' Guide, 3rd ed., section 4.9),
-and Weyl's inequality gives |sigma-hat_i - sigma_i| <= ||E||_2.  That p is
-a worst case: taking it as sqrt(rows * cols) widens the ``long`` pole
-bounds a median 58x, while sigma-hat_{M+1} moves between the Haswell and
-Sandybridge OpenBLAS kernels by less than 0.61 eps sigma_1 on the seed-1
-``long`` pool; so the allowance takes p = 1.  Direct windows, the reference
-ones among them, keep the explicit subtraction for the gap, LAPACK's 2-norm
-of Y1 and LAPACK's L x L eigenbasis for kappa, whose rounding the published
-values record.
+matrix of at most 2M x 2M, so no factorization is L x L.  The allowance
+covers the computed singular value's error: LAPACK's SVD is backward
+stable, so sigma-hat_i is an exact singular value of Y0 + E with
+||E||_2 <= p(m, n) eps ||Y0||_2, p a modestly growing function of the shape
+(LAPACK Users' Guide, 3rd ed., section 4.9), and Weyl's inequality gives
+|sigma-hat_i - sigma_i| <= ||E||_2.  That p is a worst case: taking it as
+sqrt(rows * cols) widens the ``long`` pole bounds a median 58x, while
+sigma-hat_{M+1} moves between the Haswell and Sandybridge OpenBLAS kernels
+by less than 0.61 eps sigma_1 on the seed-1 ``long`` pool; so the
+allowance takes p = 1.  The published reference values were computed with
+rounding-chosen inputs instead; :mod:`heatpencil.reference` rebuilds that
+certificate itself to compare them.
 
 It also owns the file formats: the certificate block of ``result.json``, which
 :meth:`ErrorCertificate.to_dict` writes and :func:`read_certificate` reads, and
@@ -226,7 +226,7 @@ def condition_number(x: np.ndarray) -> float:
     return float(sv[0] / sv[-1])
 
 
-def _compressed_kappa(factors: pencil.TruncatedPencil) -> float:
+def _exact_kappa(factors: pencil.TruncatedPencil) -> float:
     """kappa of the exact eigenbasis X of the truncated product ``P = V_M B``
     (see :func:`certificate_inputs`) from M-sized work, or +inf where X is
     numerically singular or the pole matrix Z is singular or so near it that
@@ -251,10 +251,10 @@ def certificate_inputs(
 ) -> BoundInputs:
     """The certificate's inputs for the pole solve ``estimate`` of ``trace``.
 
-    On a window the pencil compressed to Y's triangular factor R
-    (L >= ``pencil._COMPRESS_COLUMNS``), Y0 and Y1 are ``Q.T @ Y0`` and
-    ``Q.T @ Y1``, with the same 2-norms, gap and pencil product, and no
-    factorization is larger than M x (L - M):
+    One recipe serves every window.  Y0 and Y1 are the Hankel blocks, or on
+    a window the pencil compressed to Y's triangular factor R, ``Q.T @ Y0``
+    and ``Q.T @ Y1``, with the same 2-norms, gap and pencil product.  No
+    factorization is L x L:
       1. the gap ||Y0 - Y0_M||_2 = sigma_{M+1} is read as
          ``singular_values[M] + eps * singular_values[0]`` (the allowance
          alone at M = L; see the module docstring);
@@ -274,14 +274,7 @@ def certificate_inputs(
          half the digits to cancellation.  The value does not depend on the
          BLAS kernel; a singular or defective Z gives +inf.
 
-    Direct windows, the reference ones among them, keep what the published
-    values were computed with, until the reference computes them itself:
-    the gap by explicit subtraction of Y0 from its rank-M truncation, which
-    equals sigma_{M+1} up to rounding, LAPACK's 2-norm of Y1, and the
-    unit-column eigenvectors of LAPACK's L x L eig, whose basis of P's
-    (L - M)-dimensional kernel is chosen by rounding, so that kappa differs
-    between BLAS kernels (+inf where they are numerically singular).  An
-    estimate without signal, or a trace of 9 samples or fewer, raises
+    An estimate without signal, or a trace of 9 samples or fewer, raises
     :class:`CertificateUnavailableError`.
     """
     n = trace.values.size
@@ -292,27 +285,15 @@ def certificate_inputs(
     factors = estimate.truncated_pencil
     if factors is None:
         raise CertificateUnavailableError("certificate unavailable (no signal detected)")
-    um, a, vm = factors.um, factors.sv, factors.vm
-    if estimate.pencil_parameter >= pencil._COMPRESS_COLUMNS:
-        sigma = estimate.singular_values
-        s1 = float(sigma[0])
-        tail = float(sigma[a.size]) if a.size < sigma.size else 0.0
-        gap = tail + float(np.finfo(float).eps) * s1
-        y1_norm = math.hypot(s1, *factors.y1[:, 0].tolist())
-        kappa = _compressed_kappa(factors)
-    else:
-        # Both 2-norms in one call: the residual and Y1 share Y0's shape, and
-        # each matrix reaches LAPACK as it would alone.
-        gap, y1_norm = np.linalg.norm(
-            np.stack(((um * a) @ vm.T - factors.y0, factors.y1)), 2, axis=(1, 2)
-        ).tolist()
-        # LAPACK's eigenvectors of the full (L x L) product, unit columns.
-        _, eigvecs = np.linalg.eig(((vm / a) @ um.T) @ factors.y1)
-        kappa = condition_number(eigvecs / np.linalg.norm(eigvecs, axis=0))
+    a, sigma = factors.sv, estimate.singular_values
+    s1 = float(sigma[0])
+    tail = float(sigma[a.size]) if a.size < sigma.size else 0.0
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
         t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),
-        y1_norm=y1_norm, y0_trunc_gap=gap, kappa_xm=kappa,
+        y1_norm=math.hypot(s1, *factors.y1[:, 0].tolist()),
+        y0_trunc_gap=tail + float(np.finfo(float).eps) * s1,
+        kappa_xm=_exact_kappa(factors),
     )
 
 
@@ -382,7 +363,11 @@ def build_certificate(
     form is always computed.  Raises when rho >= 1, where the derivation has
     no force, and when rho is NaN (a zero norm prior times a tail prefactor
     that overflowed).  The diffusivity interval is populated only when an estimated
-    pole with a nonzero mode index (and the estimate itself) are supplied.
+    pole with a nonzero mode index (and the estimate itself) are supplied,
+    and only when that index is consistent with the prior alpha0: mode n
+    decays at n^2 pi^2 alpha >= n^2 pi^2 alpha0, so the pole's certified
+    rate, -ln(z_tilde)/ts plus the eigenvalue bound, must reach that.  A
+    pole labelled with too high an index fails it and is withheld.
     """
     theta = inputs.theta
     envelope, tail_t1, frob_y0, frob_y1 = _frobenius_terms(inputs)
@@ -400,7 +385,8 @@ def build_certificate(
     eig_bound = a_bound = interval = None
     if z_tilde is not None and mode_index:
         eig_bound, a_bound = alpha_error_bound(pole_bound, z_tilde, inputs.ts, mode_index)
-        if alpha_hat is not None:
+        slowest = mode_index**2 * PI_SQ * inputs.alpha0
+        if alpha_hat is not None and slowest <= -math.log(z_tilde) / inputs.ts + eig_bound:
             interval = (alpha_hat - a_bound, alpha_hat + a_bound)
     return ErrorCertificate(
         inputs=inputs,

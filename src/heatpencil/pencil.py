@@ -43,8 +43,9 @@ _ZERO_RATE_TOL = 1e-12
 # Windows with a pencil parameter L at least this large are factored through
 # one QR of Y.  From L = 48 the saving exceeds the timing spread; below it
 # the saving is within that spread, and the reference windows (L = 17 and
-# 27), whose certificate is rounding-dependent, stay on the direct path bit
-# for bit.
+# 27) stay on the direct path bit for bit: the published certificate is
+# rounding-dependent, and heatpencil.reference rebuilds it from the free
+# window's direct blocks.
 _COMPRESS_COLUMNS = 48
 # Singular values at or above this fraction of the largest count toward the
 # model order: the paper's cutoff, used for every published value.
@@ -119,8 +120,8 @@ class TruncatedPencil:
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
     eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  ``vperp`` holds the
     trailing L - M right singular vectors of Y0, which complete ``vm`` to an
-    orthogonal basis; only the certificate reads it, on compressed windows,
-    for the M x (L - M) block of the pencil product's exact eigenbasis
+    orthogonal basis; only the certificate reads it, on every window, for
+    the M x (L - M) block of the pencil product's exact eigenbasis
     (:func:`heatpencil.bounds.certificate_inputs`).  At M = L, as
     :func:`factor_pencil` returns it, the factors are Y0's whole thin SVD
     and ``vperp`` has no columns.

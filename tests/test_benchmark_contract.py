@@ -30,10 +30,12 @@ def harness():
 
 def test_reference_identify_under_the_tracer(harness):
     tracing, workloads = harness
-    # installing wraps every traced name, tsvd_solve included, or raises
+    # installing wraps every traced name, tsvd_solve included, or raises;
+    # identify takes no 2-norm, the reference comparison does, so it runs
+    # under the tracer too
     with tracing.Tracer() as tracer:
         result = workloads.reference_identify()
-    assert workloads.reference_fields_ok(result) == workloads.PAPER_FIELDS_OK
+        assert workloads.reference_fields_ok(result) == workloads.PAPER_FIELDS_OK
     assert {span.name for span in tracer.spans} >= {
         "pipeline.identify", "pencil.analyze.free", "pencil.analyze.step",
         "pencil.analyze.rec", "pencil.build_hankel", "pencil.detect_order",
@@ -56,6 +58,25 @@ def test_identify_workload_op_and_check(harness, name):
         item = workload.item(items, i)
         outcome = workload.check(item, workload.op(item))
         assert outcome.passed, outcome.problems
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_noisy_pole_labelled_above_its_mode_gets_no_interval(harness):
+    # item 201 of the seed-2 noisy pool (noise 1e-10): the controlled window
+    # reads alpha about 3.3x low, so the mode-1 free pole is labelled mode 2
+    # and alpha_hat is 0.97 against the true 3.24.  The pole's certified rate
+    # cannot reach mode 2's under alpha0 = 0.75 alpha, so no interval issues;
+    # one would have read (-0.28, 2.22), excluding alpha.
+    _, workloads = harness
+    workload = workloads.make("noisy", None)
+    item = workload.item(workload.setup(2), 201)
+    assert item.level == 1e-10
+    result = workload.op(item)
+    cert = result.certificate
+    assert cert.mode_index == 2 and result.alpha_hat < 0.35 * item.problem.alpha
+    assert cert.alpha_interval is None
+    outcome = workload.check(item, result)
+    assert outcome.passed and not outcome.cert_miss
 
 
 def test_paper_workload_twice(harness, tmp_path):

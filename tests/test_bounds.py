@@ -24,8 +24,9 @@ from heatpencil.bounds import (
     read_priors,
     tail_bound,
 )
-from heatpencil.model import SampleTrace
+from heatpencil.model import SampleTrace, sample_windows
 from heatpencil.pencil import PencilEstimate, TruncatedPencil, analyze
+from heatpencil.reference import reference_problem
 
 PI_SQ = math.pi**2
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -252,12 +253,32 @@ class TestCertificateInputs:
         inputs = certificate_inputs(est, trace, 15.0, 3.0)
         sigma_y0 = svdvals(pencil.y0)
         assert inputs.sigma_m == pytest.approx(sigma_y0[1], rel=1e-14)
-        assert inputs.y1_norm == pytest.approx(svdvals(pencil.y1)[0], rel=1e-14)
-        # the explicit subtraction equals sigma_{M+1} up to rounding
-        assert inputs.y0_trunc_gap == pytest.approx(sigma_y0[2], abs=1e-13)
+        # the gap is the pole solve's sigma_{M+1} plus the rounding allowance
+        sigma, eps = est.singular_values, float(np.finfo(float).eps)
+        np.testing.assert_allclose(sigma, sigma_y0, rtol=0, atol=1e-14 * sigma_y0[0])
+        assert inputs.y0_trunc_gap == float(sigma[2]) + eps * float(sigma[0])
+        # ||Y1||_2 is bounded by hypot(sigma_1(Y0), |c|), c the column Y0
+        # lacks.  This trace leads with the pole 0.6, so Y1, which lacks Y's
+        # largest column, has about 0.6 of Y's norm, and the bound is loose
+        # by the measured 1.898x; test_y1_bound_on_a_heat_window pins it on
+        # a window led by the constant mode
+        y1_norm = svdvals(pencil.y1)[0]
+        bound = math.hypot(sigma[0], np.linalg.norm(pencil.y1[:, 0]))
+        assert y1_norm <= inputs.y1_norm == pytest.approx(bound, rel=1e-14)
+        assert inputs.y1_norm <= 1.9 * y1_norm
         assert 1.0 <= inputs.kappa_xm < math.inf
         assert (inputs.m0, inputs.alpha0, inputs.m, inputs.n, inputs.l) == (15.0, 3.0, 2, 21, 7)
         assert (inputs.t1, inputs.ts) == (trace.t_start, trace.period)
+
+    def test_y1_bound_on_a_heat_window(self):
+        # the reference free window (L = 17) leads with the constant mode at
+        # z = 1, whose Y1 keeps Y0's norm: the bound is within 3% there
+        free, _, _ = sample_windows(reference_problem(), 50, 50, 0.01, 79)
+        est = analyze(free)
+        inputs = certificate_inputs(est, free, 15.0, 3.0)
+        y1_norm = svdvals(est.truncated_pencil.y1)[0]
+        assert inputs.l == 17
+        assert y1_norm <= inputs.y1_norm <= 1.03 * y1_norm
 
     def test_detected_order_kept_after_discards(self):
         # the constant-plus-oscillation signal keeps one of three poles; the
@@ -313,20 +334,16 @@ class TestCertificateInputs:
         assert math.isfinite(kappa) == finite
         assert kappa >= 1.0
 
-    @pytest.mark.skipif(
-        platform.machine() != "x86_64" or not has_avx2(),
-        reason="selects x86_64 OpenBLAS kernels that need AVX2",
-    )
-    def test_compressed_kappa_does_not_depend_on_the_blas_kernel(self):
-        # LAPACK's basis of the product's kernel is chosen by rounding, and
-        # its kappa moved by several percent between these kernels on this
-        # window; the exact eigenbasis does not, nor does the bound on
-        # ||Y1||.  The gap, sigma_{M+1} at rounding level, moves with the
-        # kernel, and the pole bound with it, so neither is pinned.
+    @staticmethod
+    def inputs_under_blas_kernels(sizes):
+        """``(kappa_xm, y1_norm)`` of ``identify``'s certificate on the
+        reference problem sampled at ``sizes`` (n1, n2, n_rec), computed in
+        a subprocess under the Haswell and then the Sandybridge kernel."""
+        n1, n2, n_rec = sizes
         script = (
             "from heatpencil import reference, pipeline\n"
             "from heatpencil.model import sample_windows\n"
-            "traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)\n"
+            f"traces = sample_windows(reference.reference_problem(), {n1}, {n2}, 0.01, {n_rec})\n"
             "result = pipeline.identify(*traces, None, reference.REFERENCE_PRIORS)\n"
             "inputs = result.certificate.inputs\n"
             "print(repr(inputs.kappa_xm), repr(inputs.y1_norm))\n"
@@ -339,8 +356,34 @@ class TestCertificateInputs:
             run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, check=True)
             runs.append([float(word) for word in run.stdout.split()])
-        (kappa_h, y1_h), (kappa_s, y1_s) = runs
+        return runs
+
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64" or not has_avx2(),
+        reason="selects x86_64 OpenBLAS kernels that need AVX2",
+    )
+    def test_compressed_kappa_does_not_depend_on_the_blas_kernel(self):
+        # LAPACK's basis of the product's kernel is chosen by rounding, and
+        # its kappa moved by several percent between these kernels on this
+        # window; the exact eigenbasis does not, nor does the bound on
+        # ||Y1||.  The gap, sigma_{M+1} at rounding level, moves with the
+        # kernel, and the pole bound with it, so neither is pinned.
+        (kappa_h, y1_h), (kappa_s, y1_s) = self.inputs_under_blas_kernels((300, 300, 474))
         assert math.isfinite(kappa_h)
+        assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
+        assert y1_s == pytest.approx(y1_h, rel=1e-12)
+
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64" or not has_avx2(),
+        reason="selects x86_64 OpenBLAS kernels that need AVX2",
+    )
+    def test_direct_kappa_does_not_depend_on_the_blas_kernel(self):
+        # the reference-sized free window (L = 17) is solved on the Hankel
+        # matrix itself; LAPACK's kappa of its L x L eigenvectors reads
+        # 18.3 under one kernel and other values under others, the exact
+        # eigenbasis 1.8526 under every one
+        (kappa_h, y1_h), (kappa_s, y1_s) = self.inputs_under_blas_kernels((50, 50, 79))
+        assert kappa_h == pytest.approx(1.8526, rel=1e-4)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)
 
@@ -488,6 +531,22 @@ class TestCertificate:
         cert = build_certificate(reference_inputs(), alpha_hat=4.0)
         assert cert.alpha_interval is None
         assert cert.pole_bound > 0
+
+    def test_mode_index_above_the_prior_withholds_the_interval(self):
+        # the reference pole 0.6738 decays at 39.5; mode 2 under alpha0 = 3
+        # would decay at 118 or faster, which no certified rate reaches
+        z_tilde, ts = 0.6738, 0.01
+        first = build_certificate(reference_inputs(), 4.0, z_tilde, mode_index=1)
+        second = build_certificate(reference_inputs(), 4.0, z_tilde, mode_index=2)
+        assert first.alpha_interval is not None
+        assert 4 * PI_SQ * 3.0 > -math.log(z_tilde) / ts + second.eigenvalue_bound
+        assert second.alpha_interval is None
+        assert second.pole_bound == first.pole_bound
+        result = {"alpha_hat": 4.0, "certificate": second.to_dict()}
+        assert read_certificate(result, (15.0, 3.0)) == second
+        # a pole decaying four times as fast, at 158, is admitted as mode 2
+        fast = build_certificate(reference_inputs(), 4.0, z_tilde**4, mode_index=2)
+        assert fast.alpha_interval is not None
 
     def test_breakpoint_warning_issued_once(self):
         # theta = 1/16 sits on the envelope breakpoint 1/(l-1) of l = 17

@@ -334,16 +334,17 @@ class TestCompressedPath:
         return compressed, direct, c_in, d_in
 
     @staticmethod
-    def check_y1_norms(trace, compressed, c_in, d_in):
-        # the direct path takes LAPACK's 2-norm of Y1; the compressed one
-        # bounds it by hypot(sigma_1(Y0), |c|), c the column Y0 lacks
+    def check_y1_norms(trace, paths):
+        # each path bounds ||Y1||_2 by hypot(sigma_1(Y0), |c|), c the column
+        # Y0 lacks, read off its own factors; a window led by the constant
+        # mode keeps the bound within 3% of LAPACK's 2-norm of Y1
         y1_norm = svdvals(build_hankel(trace)[:, 1:])[0]
-        assert d_in.y1_norm == pytest.approx(y1_norm, rel=1e-14)
-        bound = math.hypot(
-            compressed.singular_values[0], np.linalg.norm(compressed.truncated_pencil.y1[:, 0])
-        )
-        assert y1_norm <= c_in.y1_norm == pytest.approx(bound, rel=1e-14)
-        assert c_in.y1_norm <= 1.03 * d_in.y1_norm
+        for est, inputs in paths:
+            bound = math.hypot(
+                est.singular_values[0], np.linalg.norm(est.truncated_pencil.y1[:, 0])
+            )
+            assert y1_norm <= inputs.y1_norm == pytest.approx(bound, rel=1e-14)
+            assert inputs.y1_norm <= 1.03 * y1_norm
 
     def test_matches_the_direct_hankel_svd(self, monkeypatch):
         # alpha in [1, 2] keeps both modes within 1e-2 of each other in
@@ -362,7 +363,9 @@ class TestCompressedPath:
                 compressed.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0]
             )
             assert c_in.sigma_m == pytest.approx(d_in.sigma_m, rel=1e-10)
-            self.check_y1_norms(trace, compressed, c_in, d_in)
+            self.check_y1_norms(trace, [(compressed, c_in), (direct, d_in)])
+            # one recipe on both paths: the exact eigenbasis of one product
+            assert c_in.kappa_xm == pytest.approx(d_in.kappa_xm, rel=1e-10)
             for inputs in (c_in, d_in):
                 assert build_certificate(inputs).rho < 1.0
                 assert math.isfinite(inputs.kappa_xm)
@@ -380,27 +383,29 @@ class TestCompressedPath:
             assert compressed.order == direct.order == 2
             sigma_1 = direct.singular_values[0]
             assert abs(c_in.sigma_m - d_in.sigma_m) <= 1e3 * eps * sigma_1
+            assert abs(c_in.y0_trunc_gap - d_in.y0_trunc_gap) <= 1e3 * eps * sigma_1
             assert np.max(np.abs(compressed.poles - direct.poles)) <= (
                 1e3 * eps * sigma_1 / d_in.sigma_m
             )
-            self.check_y1_norms(trace, compressed, c_in, d_in)
+            self.check_y1_norms(trace, [(compressed, c_in), (direct, d_in)])
             for inputs in (c_in, d_in):
                 assert build_certificate(inputs).rho < 1.0
                 assert math.isfinite(inputs.kappa_xm)
 
-    @pytest.mark.parametrize("seed,alpha_range", [
-        pytest.param(7, (1.0, 2.0), id="alpha-1-to-2"),
-        pytest.param(8, (3.0, 8.0), id="alpha-3-to-8"),
+    @pytest.mark.parametrize("seed,alpha_range,counts", [
+        pytest.param(7, (1.0, 2.0), (3 * pencil._COMPRESS_COLUMNS, 321), id="alpha-1-to-2"),
+        pytest.param(8, (3.0, 8.0), (3 * pencil._COMPRESS_COLUMNS, 321), id="alpha-3-to-8"),
+        pytest.param(10, (1.0, 8.0), (30, 3 * pencil._COMPRESS_COLUMNS - 2), id="direct"),
     ])
-    def test_kappa_from_the_exact_eigenbasis(self, seed, alpha_range):
+    def test_kappa_from_the_exact_eigenbasis(self, seed, alpha_range, counts):
         # X = [V_M S, V_perp - V_M Z^-1 B V_perp] diagonalizes the L x L
         # product to rounding; the certificate's kappa, taken from 2M x 2M
         # work, is its condition number, and that of the M x M pole
-        # matrix's unit eigenvectors S
+        # matrix's unit eigenvectors S, on compressed and direct windows
         rng = np.random.default_rng(seed)
         eps = np.finfo(float).eps
         for _ in range(24):
-            count = int(rng.integers(3 * pencil._COMPRESS_COLUMNS, 321))
+            count = int(rng.integers(*counts))
             trace, (m0, alpha0) = free_window(rng, alpha_range, count)
             est = analyze(trace)
             tp = est.truncated_pencil
@@ -461,8 +466,9 @@ class TestCompressedPath:
         assert truncated.um.shape == (rows, 2)
 
     def test_reference_windows_stay_direct(self):
-        # the published certificate depends on rounding, so its windows
-        # (L = 17 and 27) must keep the direct path
+        # the published certificate depends on rounding, and reference
+        # rebuilds it from the free window's direct Hankel blocks, so the
+        # reference windows (L = 17 and 27) must keep the direct path
         assert resolve_pencil_parameter(79) < pencil._COMPRESS_COLUMNS
 
 

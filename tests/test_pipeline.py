@@ -383,7 +383,9 @@ class TestFactorizationCounts:
     def _reference_traces():
         return traces_for(reference.reference_problem()), reference.reference_config()
 
-    def test_with_priors(self, counts):
+    def test_with_priors(self, counts, shapes):
+        # the certificate factors nothing L-sized on the direct path either:
+        # its one eig is of the M x M pole matrix, its SVDs of C and K
         traces, cfg = self._reference_traces()
         result = identify(*traces, cfg, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
@@ -392,6 +394,9 @@ class TestFactorizationCounts:
         assert counts["eigvals"] <= 3
         assert counts["lstsq"] == 2
         assert counts["qr"] == 0
+        order = result.free_spectrum.estimate.truncated_pencil.sv.size
+        assert shapes["eig"] == [(order, order)]
+        assert shapes["svd"][4:] == [(order, 17 - order), (2 * order, 2 * order)]
 
     def test_without_priors(self, counts):
         traces, cfg = self._reference_traces()

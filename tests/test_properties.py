@@ -1,5 +1,5 @@
 """The refusal surface of ``identify`` under generated inputs, and the
-certificate's pole bound on compressed windows.
+certificate's pole bound on compressed and direct windows.
 
 Finite, well-formed traces must either be identified or refused with one of
 the program's own error types; a clock that cannot time its samples is
@@ -7,9 +7,10 @@ refused when the trace is built.  Bare numpy errors and RuntimeWarnings
 (errors under the suite's filter) fail the property.  On the command line,
 each such refusal exits 2 with one ``error`` line on stderr.
 
-On noiseless windows long enough for the pencil to compress them, with
-priors consistent with the truth, every certificate that names a mode puts
-that mode's true pole within its pole bound of the estimated one.
+On noiseless windows, whether long enough for the pencil to compress them
+or not, with priors consistent with the truth, every certificate that names
+a mode puts that mode's true pole within its pole bound of the estimated
+one.
 
 Hypothesis draws some values from the literals of the modules loaded in the
 session, so which generated examples run depends on what else was
@@ -159,9 +160,9 @@ def test_cli_refusal_exits_two_with_one_stderr_line(case):
 
 
 @st.composite
-def compressed_cases(draw):
-    """A noiseless problem on the long windows' schedule, sampled with 142 to
-    330 samples per window (L = 48 to 110), and priors M0 >= |u0|,
+def certified_cases(draw, counts):
+    """A noiseless problem on the reference windows' schedule, sampled with
+    ``counts`` (low, high) samples per window, and priors M0 >= |u0|,
     alpha0 <= alpha."""
     alpha = draw(st.floats(1.0, 10.0))
     coeffs = {
@@ -173,16 +174,14 @@ def compressed_cases(draw):
         problem.u0_l2_norm() * draw(st.floats(1.0, 2.0)),
         alpha * draw(st.floats(0.5, 1.0)),
     )
-    return problem, draw(st.integers(142, 330)), priors
+    return problem, draw(st.integers(*counts)), priors
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(compressed_cases())
-@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
-def test_pole_bound_holds_on_compressed_windows(case):
+def check_pole_bound(case):
+    """Whenever the case's certificate names a mode, that mode's true pole
+    lies within ``pole_bound`` of z-tilde."""
     problem, count, priors = case
     traces = sample_windows(problem, count, count, 0.01, count)
-    assert pencil.resolve_pencil_parameter(count) >= pencil._COMPRESS_COLUMNS
     try:
         cert = identify(*traces, None, priors).certificate
     except (IdentificationError, pencil.PencilError):
@@ -192,3 +191,19 @@ def test_pole_bound_holds_on_compressed_windows(case):
     period = traces[0].period
     true_pole = math.exp(-problem.alpha * cert.mode_index**2 * PI_SQ * period)
     assert abs(true_pole - cert.z_tilde) <= cert.pole_bound
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(certified_cases((142, 330)))  # L = 48 to 110
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
+def test_pole_bound_holds_on_compressed_windows(case):
+    assert pencil.resolve_pencil_parameter(case[1]) >= pencil._COMPRESS_COLUMNS
+    check_pole_bound(case)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(certified_cases((30, 141)))  # L = 10 to 47
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the estimator's warnings on hard inputs
+def test_pole_bound_holds_on_direct_windows(case):
+    assert pencil.resolve_pencil_parameter(case[1]) < pencil._COMPRESS_COLUMNS
+    check_pole_bound(case)
