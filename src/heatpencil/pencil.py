@@ -311,6 +311,14 @@ def _order_from_factors(factors: TruncatedPencil) -> int | None:
     return None
 
 
+def _overflow_error(trace: SampleTrace) -> PencilError:
+    """The refusal of a trace whose Hankel matrix's norm overflows float64."""
+    return PencilError(
+        f"the Hankel matrix's largest singular value overflows float64 "
+        f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
+    )
+
+
 def analyze(trace: SampleTrace) -> PencilEstimate:
     """Run the estimator: order detection, poles, rates in ascending order.
 
@@ -326,21 +334,23 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     outside (0, 1 + 1e-9] are discarded with a warning, reducing the
     reported order; poles within rounding of 1 are clamped to exactly 1
     (the constant mode).  An order detected on Y beyond the L columns of Y0
-    raises :class:`RankDeficiencyError`.
+    raises :class:`RankDeficiencyError`.  A trace whose Hankel matrix has a
+    singular value past float64, on either path, raises :class:`PencilError`.
     """
     y = build_hankel(trace)
     length = y.shape[1] - 1
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
+        # Y's column norms past float64 leave R non-finite, which LAPACK's
+        # SVD cannot take.
+        if not np.isfinite(y).all():
+            raise _overflow_error(trace)
     factors = factor_pencil(y)
     order = _order_from_factors(factors)
     if order is None:
         sigma_y = np.linalg.svd(y, compute_uv=False)
         if not math.isfinite(sigma_y[0]):
-            raise PencilError(
-                f"the Hankel matrix's largest singular value overflows float64 "
-                f"(max |y| = {np.max(np.abs(trace.values)):.2g}); rescale the trace"
-            )
+            raise _overflow_error(trace)
         order = detect_order(sigma_y, _EPSILON)
     if order > length:
         raise RankDeficiencyError(

@@ -9,9 +9,11 @@ at 200 terms, so the reference problem pins ``control_series_terms=200``;
 with the machine-precision tail instead, the two weakest controlled-window
 modes land measurably elsewhere.
 
-Two published values cannot be reproduced by any faithful double-precision
-computation and are flagged ``known_unreproducible`` (the repro command and
-the acceptance suite still compare against them and report the misses):
+:data:`PUBLISHED` holds each published value with its tolerance; one loop
+compares a run with every row.  Two published values cannot be reproduced
+by any faithful double-precision computation, and their rows carry a note
+that flags them ``known_unreproducible`` (the repro command and the
+acceptance suite still compare against them and report the misses):
 
 * the free-window coefficient -9.4077: the published sigma_M matches the
   exact-data value to all printed digits, which pins the underlying data to
@@ -34,7 +36,9 @@ with like, and ``result.json`` keeps the sound one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -112,52 +116,58 @@ class FieldCheck:
         return self.error <= self.tolerance
 
 
-# Published values, with the tolerances used by the acceptance gate.
-STEP1_POLES = (1.0000, 0.6738)
-STEP1_RATES = (0.0000, 39.4784)
-STEP1_COEFFS = (0.5000, -9.4077)
-STEP1_TOL = 5e-4
+@dataclass(frozen=True)
+class Published:
+    """One published value or table, the tolerance of the acceptance gate,
+    and what of a run it is compared with.
 
-STEP3_ORDER = 5
-STEP3_COEFFS_X100 = (-8.3333, 5.0661, 1.2665, 0.5664, 1.4090)
-STEP3_RATES_X100 = (0.0000, 39.4784, 157.9137, 355.5370, 790.8813)
-STEP3_TOL = 5e-3
-STEP3_ACCEPTED = (1, 2)
-STEP3_ALPHA = 4.0000
-STEP3_ALPHA_TOL = 1e-3
+    ``value`` is a number, checked as ``name``, or a table, whose entry k is
+    checked as ``name_k``.  ``computed`` reads the run's number, or sequence
+    for a table, from a namespace of ``free``, ``step``, ``cert`` (the
+    paper's certificate), ``result`` and ``u0_error``.  ``notes`` maps the
+    indices whose published value is known unreproducible (0 for a number)
+    to why; ``missed``, if given, reads from the run the note of a miss.
+    """
 
-CERT_THETA = 2.3687
-CERT_ENVELOPE = 0.0936
-CERT_Y1_NORM = 11.8427
-CERT_SIGMA_M = 9.5089e-5
-CERT_KAPPA = 17.9467
-CERT_RHO = 1.4522e-10
-CERT_POLE_BOUND = 5.2521e-4
-CERT_ALPHA_INTERVAL = (3.9921, 4.0079)
+    name: str
+    value: float | tuple[float, ...]
+    tolerance: float
+    computed: Callable[[SimpleNamespace], object]
+    relative: bool = False
+    notes: dict[int, str] = field(default_factory=dict)
+    missed: Callable[[SimpleNamespace], str] | None = None
 
-GCV_K = 6
-U0_REL_L2_TOL = 0.05
-ALPHA_HAT = 4.0000
-ALPHA_HAT_TOL = 5e-5
 
-_COEFF_NOTE = (
-    "published value reflects rounding inside the original fit; exact data "
-    "pins the coefficient to -9.40528 (see package docs)"
+PUBLISHED = (
+    Published("free pole z", (1.0000, 0.6738), 5e-4, lambda run: run.free.estimate.poles.tolist()),
+    Published("free rate lambda", (0.0000, 39.4784), 5e-4, lambda run: run.free.rates),
+    Published("free coefficient C", (0.5000, -9.4077), 5e-4, lambda run: run.free.coefficients,
+              notes={1: "published value reflects rounding inside the original fit; exact "
+                        "data pins the coefficient to -9.40528 (see package docs)"}),
+    Published("controlled-window order", 5, 0.0, lambda run: run.step.rates.size),
+    Published("controlled 100*C'", (-8.3333, 5.0661, 1.2665, 0.5664, 1.4090), 5e-3,
+              lambda run: 100.0 * run.step.coefficients),
+    Published("controlled 100*rate'", (0.0000, 39.4784, 157.9137, 355.5370, 790.8813), 5e-3,
+              lambda run: 100.0 * run.step.rates),
+    Published("credible index set == {1, 2}", 1.0, 0.0,
+              lambda run: float(tuple(run.step.accepted) == (1, 2)),
+              missed=lambda run: f"accepted {run.step.accepted}"),
+    Published("controlled-window alpha", 4.0000, 1e-3, lambda run: run.step.alpha),
+    Published("theta", 2.3687, 1e-4, lambda run: run.cert.theta),
+    Published("decay envelope", 0.0936, 1e-4, lambda run: run.cert.decay_envelope),
+    Published("Y1 spectral norm", 11.8427, 1e-2, lambda run: run.cert.inputs.y1_norm),
+    Published("sigma_M", 9.5089e-5, 0.01, lambda run: run.cert.inputs.sigma_m, relative=True),
+    Published("kappa", 17.9467, 0.01, lambda run: run.cert.inputs.kappa_xm, relative=True,
+              notes={0: "published value is rounding-determined through the kernel basis of "
+                        "the truncated pencil product; equivalent computations span 14.8-21.6"}),
+    Published("rho", 1.4522e-10, 0.05, lambda run: run.cert.rho, relative=True),
+    Published("pole bound", 5.2521e-4, 0.05, lambda run: run.cert.pole_bound, relative=True),
+    Published("alpha interval lower", 3.9921, 1e-3, lambda run: run.cert.alpha_interval[0]),
+    Published("alpha interval upper", 4.0079, 1e-3, lambda run: run.cert.alpha_interval[1]),
+    Published("GCV rank", 6, 0.0, lambda run: run.result.gcv_k),
+    Published("alpha_hat", 4.0000, 5e-5, lambda run: run.result.alpha_hat),
+    Published("u0 relative L2 error", 0.0, 0.05, lambda run: run.u0_error),
 )
-_KAPPA_NOTE = (
-    "published value is rounding-determined through the kernel basis of the "
-    "truncated pencil product; equivalent computations span 14.8-21.6"
-)
-
-
-def _per_index(label, published, computed, tol, notes=None) -> list[FieldCheck]:
-    """One absolute check per published value, named ``label_k``; the
-    indices in ``notes`` are known unreproducible, with their note."""
-    notes = notes or {}
-    return [
-        FieldCheck(f"{label}_{k}", ref, act, tol, False, k in notes, notes.get(k, ""))
-        for k, (ref, act) in enumerate(zip(published, computed))
-    ]
 
 
 def _paper_certificate(result) -> bounds.ErrorCertificate:
@@ -192,93 +202,20 @@ def compare_reference_run(result, u0_rel_l2_error: float) -> list[FieldCheck]:
 
 
 def _checks(result, u0_rel_l2_error: float, cert: bounds.ErrorCertificate) -> list[FieldCheck]:
-    """:func:`compare_reference_run` with the paper's certificate ``cert``."""
-    free = result.free_spectrum
-    checks = [
-        *_per_index("free pole z", STEP1_POLES, free.estimate.poles.tolist(), STEP1_TOL),
-        *_per_index("free rate lambda", STEP1_RATES, free.rates, STEP1_TOL),
-        *_per_index("free coefficient C", STEP1_COEFFS, free.coefficients, STEP1_TOL,
-                    {1: _COEFF_NOTE}),
-    ]
-
-    step = result.step_window
-    checks.append(
-        FieldCheck("controlled-window order", STEP3_ORDER, step.rates.size, 0.0, False)
-    )
-    checks += _per_index("controlled 100*C'", STEP3_COEFFS_X100, 100.0 * step.coefficients,
-                         STEP3_TOL)
-    checks += _per_index("controlled 100*rate'", STEP3_RATES_X100, 100.0 * step.rates,
-                         STEP3_TOL)
-    accepted_ok = tuple(step.accepted) == STEP3_ACCEPTED
-    checks.append(
-        FieldCheck(
-            "credible index set == {1, 2}",
-            1.0,
-            1.0 if accepted_ok else 0.0,
-            0.0,
-            False,
-            note="" if accepted_ok else f"accepted {step.accepted}",
-        )
-    )
-    checks.append(
-        FieldCheck(
-            "controlled-window alpha", STEP3_ALPHA, step.alpha, STEP3_ALPHA_TOL, False
-        )
-    )
-
-    checks.append(FieldCheck("theta", CERT_THETA, cert.theta, 1e-4, False))
-    checks.append(
-        FieldCheck("decay envelope", CERT_ENVELOPE, cert.decay_envelope, 1e-4, False)
-    )
-    checks.append(
-        FieldCheck("Y1 spectral norm", CERT_Y1_NORM, cert.inputs.y1_norm, 1e-2, False)
-    )
-    checks.append(
-        FieldCheck("sigma_M", CERT_SIGMA_M, cert.inputs.sigma_m, 0.01, True)
-    )
-    checks.append(
-        FieldCheck(
-            "kappa",
-            CERT_KAPPA,
-            cert.inputs.kappa_xm,
-            0.01,
-            True,
-            known_unreproducible=True,
-            note=_KAPPA_NOTE,
-        )
-    )
-    checks.append(FieldCheck("rho", CERT_RHO, cert.rho, 0.05, True))
-    checks.append(
-        FieldCheck("pole bound", CERT_POLE_BOUND, cert.pole_bound, 0.05, True)
-    )
-    checks.append(
-        FieldCheck(
-            "alpha interval lower",
-            CERT_ALPHA_INTERVAL[0],
-            cert.alpha_interval[0],
-            1e-3,
-            False,
-        )
-    )
-    checks.append(
-        FieldCheck(
-            "alpha interval upper",
-            CERT_ALPHA_INTERVAL[1],
-            cert.alpha_interval[1],
-            1e-3,
-            False,
-        )
-    )
-
-    checks.append(FieldCheck("GCV rank", GCV_K, result.gcv_k, 0.0, False))
-    checks.append(
-        FieldCheck("alpha_hat", ALPHA_HAT, result.alpha_hat, ALPHA_HAT_TOL, False)
-    )
-    checks.append(
-        FieldCheck(
-            "u0 relative L2 error", 0.0, u0_rel_l2_error, U0_REL_L2_TOL, False
-        )
-    )
+    """:func:`compare_reference_run` with the paper's certificate ``cert``:
+    one check per published value, in the order of :data:`PUBLISHED`."""
+    run = SimpleNamespace(free=result.free_spectrum, step=result.step_window, cert=cert,
+                          result=result, u0_error=u0_rel_l2_error)
+    checks = []
+    for row in PUBLISHED:
+        table = isinstance(row.value, tuple)
+        pairs = zip(row.value, row.computed(run)) if table else [(row.value, row.computed(run))]
+        for k, (expected, actual) in enumerate(pairs):
+            check = FieldCheck(f"{row.name}_{k}" if table else row.name, expected, actual,
+                               row.tolerance, row.relative, k in row.notes, row.notes.get(k, ""))
+            if row.missed and not check.ok:
+                check = replace(check, note=row.missed(run))
+            checks.append(check)
     return checks
 
 
@@ -317,6 +254,7 @@ def reproduction_report(result) -> tuple[str, bool]:
         published = f"{c.expected:.4f}" if whole else f"{c.expected:.6g}"
         lines.append(f"| {c.name} | {published} | {c.actual:.6g} | {tol} | {status} |")
     lo, hi = cert.alpha_interval
+    paper = {row.name: row.value for row in PUBLISHED}
     lines += [
         "",
         f"Certificate inputs: M0={cert.inputs.m0:g}, alpha0={cert.inputs.alpha0:g}, "
@@ -324,8 +262,8 @@ def reproduction_report(result) -> tuple[str, bool]:
         f"T1={cert.inputs.t1:g}, Ts={cert.inputs.ts:g}.",
         "",
         f"The identified diffusivity lies between {lo:.4f} and {hi:.4f} "
-        f"(reference interval: between {CERT_ALPHA_INTERVAL[0]:.4f} and "
-        f"{CERT_ALPHA_INTERVAL[1]:.4f}).",
+        f"(reference interval: between {paper['alpha interval lower']:.4f} and "
+        f"{paper['alpha interval upper']:.4f}).",
         "",
         f"{len(checks)} fields compared, {len(checks) - len(misses)} within "
         f"tolerance, {len(misses)} missed ({known} of them documented as not "

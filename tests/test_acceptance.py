@@ -65,6 +65,24 @@ def _assert_fields(checks, names):
     assert not bad, "; ".join(bad)
 
 
+class TestPublishedTable:
+    def test_one_check_per_published_value(self, reference_run):
+        checks = reference.compare_reference_run(reference_run["result"], reference_run["u0_err"])
+        names = [c.name for c in checks]
+        assert len(checks) == 31 and len(set(names)) == 31
+        notes = {c.name: c.note for c in checks if c.known_unreproducible}
+        assert set(notes) == {"free coefficient C_1", "kappa"}
+        assert "pins the coefficient to -9.40528" in notes["free coefficient C_1"]
+        assert "equivalent computations span 14.8-21.6" in notes["kappa"]
+        published = []
+        for row in reference.PUBLISHED:
+            if isinstance(row.value, tuple):
+                published += [(f"{row.name}_{k}", v) for k, v in enumerate(row.value)]
+            else:
+                published.append((row.name, row.value))
+        assert [(c.name, c.expected) for c in checks] == published
+
+
 class TestCriterion1FreeWindowEstimates:
     FIELDS = [
         "free pole z_0", "free pole z_1",

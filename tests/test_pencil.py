@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatpencil import pencil, reference
@@ -241,9 +241,10 @@ class TestAnalyze:
         assert est.poles.size == 0
         assert fit_amplitudes(trace, est.rates).size == 0
 
-    def test_overflowing_spectrum_refused(self):
+    @pytest.mark.parametrize("count", [9, 150])  # direct (L = 3), compressed (L = 50)
+    def test_overflowing_spectrum_refused(self, count):
         # finite samples whose Hankel singular values exceed float64
-        trace = SampleTrace(0.0, 1.0, 1e307 * np.arange(1.0, 10.0))
+        trace = SampleTrace(0.0, 1.0, 1e307 * np.linspace(1.0, 9.0, count))
         with pytest.raises(pencil.PencilError, match=r"overflows float64 \(max \|y\| = 9e\+307\)"):
             analyze(trace)
 
@@ -578,6 +579,34 @@ class TestOrderFromY0:
         est = analyze(trace)
         assert calls == [True, False]
         assert est.truncated_pencil.sv.size == 6
+
+
+@st.composite
+def near_overflow_traces(draw):
+    """Exponential sums of a few modes on the direct or the compressed path,
+    scaled so that max |y| lies in [1e300, 1.7e308]."""
+    count = draw(st.integers(9, 141) | st.integers(3 * pencil._COMPRESS_COLUMNS - 2, 200))
+    m = draw(st.integers(1, 4))
+    poles = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    amps = [draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in poles]
+    k = np.arange(count)
+    values = sum(a * z**k for a, z in zip(amps, poles))
+    assume(np.any(values))  # modes that cancel exactly
+    # drawn down from the ceiling, so that many Hankel norms overflow
+    peak = 1.7e308 / draw(log_uniform(1.0, 1.7e8))
+    return SampleTrace(0.0, 1.0, values / np.max(np.abs(values)) * peak)
+
+
+class TestNearOverflow:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(near_overflow_traces())
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")
+    def test_analyze_returns_or_names_the_overflow(self, trace):
+        # never a bare LinAlgError from LAPACK, on either path
+        try:
+            analyze(trace)
+        except PencilError:
+            pass
 
 
 class TestShiftPencilIdentity:

@@ -14,8 +14,11 @@ script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 the same outputs on the edge problems no seeded pool holds: a zero initial
 state and a constant one (``u0 = 2``) on the ``batch`` windows (50/50/79
 samples), with no priors and with priors (5, 3), so the path of a free window
-without detectable modes is compared too.  A last line
-digests ``repro-paper``, ``identify --plot``, ``identify --plot
+without detectable modes is compared too.  One line digests the ``repr`` of
+every ``FieldCheck`` that ``reference.compare_reference_run`` returns for
+the reference ``identify``, so a changed computed value, tolerance or note
+shows at full precision, where ``report.md`` prints 6 significant digits.
+A last line digests ``repro-paper``, ``identify --plot``, ``identify --plot
 --reference-problem``, ``bounds`` and ``simulate`` on the reference data,
 run in process through ``cli.main``: their exit codes, what they print to
 stdout and stderr, and their artifacts, ``manifest.json`` (which records a
@@ -105,6 +108,19 @@ def edge_digest(workloads) -> str:
     return h.hexdigest()
 
 
+def checks_digest() -> str:
+    """Every check ``compare_reference_run`` returns for the reference
+    ``identify``, as its ``repr``: full precision, where ``report.md`` prints
+    6 significant digits."""
+    from heatpencil import model, pipeline, reference
+
+    traces = model.sample_windows(reference.reference_problem(), *reference.REFERENCE_SCHEDULE)
+    result = pipeline.identify(*traces, priors=reference.REFERENCE_PRIORS)
+    error = reference.u0_reconstruction_error(result.u0_coeffs_hat)
+    checks = reference.compare_reference_run(result, error)
+    return hashlib.sha256("\n".join(map(repr, checks)).encode()).hexdigest()
+
+
 def artifact_digest() -> str:
     """One round of the reference commands in a fresh temporary folder, whose
     name is taken out of what they print."""
@@ -147,6 +163,7 @@ def main(argv: list[str]) -> int:
         for name in POOLS:
             print(f"{name} seed {seed}: {pool_digest(workloads, name, seed)}", flush=True)
     print(f"edge problems: {edge_digest(workloads)}", flush=True)
+    print(f"reference checks: {checks_digest()}", flush=True)
     first, second = artifact_digest(), artifact_digest()
     print(f"artifacts: {first}")
     if second != first:
