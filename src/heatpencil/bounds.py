@@ -23,9 +23,26 @@ stable, so sigma-hat_i is an exact singular value of Y0 + E with
 sqrt(rows * cols) widens the ``long`` pole bounds a median 58x, while
 sigma-hat_{M+1} moves between the Haswell and Sandybridge OpenBLAS kernels
 by less than 0.61 eps sigma_1 on the seed-1 ``long`` pool; so the
-allowance takes p = 1.  The published reference values were computed with
-rounding-chosen inputs instead; :mod:`heatpencil.reference` rebuilds that
-certificate itself to compare them.
+allowance takes p = 1.
+
+On a compressed window the pole solve factored only the leading K rows of
+Y's triangular factor R, and the gap and the norm take the Frobenius norm
+delta of the rows dropped in quadrature.  For rows stacked as [A; F],
+||[A; F]||_2^2 <= ||A||_2^2 + ||F||_2^2, and Weyl's inequality on
+[A; F].T [A; F] = A.T A + F.T F gives
+sigma_i([A; F])^2 <= sigma_i(A)^2 + ||F||_2^2.  With A the kept rows of
+Y0's block, A_M its rank-M truncation and F the dropped rows, whose 2-norm
+is at most delta, sigma_{M+1}(Y0) and the distance from Y0 to the padded
+rank-M matrix [A_M; 0] the pole solve uses are both at most
+||[A - A_M; F]||_2 <= hypot(sigma_{M+1}(A), delta).  Y1's kept rows are
+columns of [Y0, c]'s kept rows, so ||Y1||_2 <= hypot(sigma_1(A), ||c's
+kept part||, delta).  Against a solve on all of R's rows, the additive
+form sigma_{M+1}(A) + delta widens the seed-1 ``long`` pole bounds a
+median 1.33x, the quadrature form a median 1.16x.
+
+The published reference values were computed with rounding-chosen inputs
+instead; :mod:`heatpencil.reference` rebuilds that certificate itself to
+compare them.
 
 It also owns the file formats: the certificate block of ``result.json``, which
 :meth:`ErrorCertificate.to_dict` writes and :func:`read_certificate` reads, and
@@ -236,14 +253,16 @@ def _exact_kappa(factors: pencil.TruncatedPencil) -> float:
     z = (uy1 @ vm) / a[:, None]  # as estimate_poles forms it
     _, s = np.linalg.eig(z)
     try:
-        c = np.linalg.solve(z, (uy1 @ factors.vperp) / a[:, None])
+        w = np.linalg.solve(z, uy1 / a[:, None]) - vm.T
     except np.linalg.LinAlgError:
         return math.inf
-    if not np.isfinite(c).all():
+    if not np.isfinite(w).all():
         return math.inf
-    p, sigma, _ = np.linalg.svd(c, full_matrices=False)
-    k = sigma.size
-    return condition_number(np.block([[s, -p * sigma], [np.zeros((k, a.size)), np.eye(k)]]))
+    p, sigma, _ = np.linalg.svd(w, full_matrices=False)
+    k = min(a.size, vm.shape[0] - a.size)
+    return condition_number(
+        np.block([[s, -p[:, :k] * sigma[:k]], [np.zeros((k, a.size)), np.eye(k)]])
+    )
 
 
 def certificate_inputs(
@@ -253,14 +272,17 @@ def certificate_inputs(
 
     One recipe serves every window.  Y0 and Y1 are the Hankel blocks, or on
     a window the pencil compressed to Y's triangular factor R, ``Q.T @ Y0``
-    and ``Q.T @ Y1``, with the same 2-norms, gap and pencil product.  No
+    and ``Q.T @ Y1``, with the same 2-norms, gap and pencil product, of
+    which the pole solve kept the leading K rows; delta =
+    ``estimate.dropped_norm`` bounds the rest (0 on the direct path).  No
     factorization is L x L:
-      1. the gap ||Y0 - Y0_M||_2 = sigma_{M+1} is read as
-         ``singular_values[M] + eps * singular_values[0]`` (the allowance
-         alone at M = L; see the module docstring);
-      2. ``y1_norm`` is ``hypot(sigma_1(Y0), ||c||)``, c = ``y1[:, 0]``: Y1's
-         columns are among those of Y = [Y0, c], and
-         ||Y||^2 <= ||Y0||^2 + ||c||^2;
+      1. the gap ||Y0 - Y0_M||_2 is bounded by
+         ``hypot(singular_values[M], delta) + eps * singular_values[0]``
+         (singular_values[M] taken as 0 at M = L; see the module
+         docstring for delta's quadrature and the allowance);
+      2. ``y1_norm`` is ``hypot(sigma_1(Y0), ||c||, delta)``,
+         c = ``y1[:, 0]``: the kept rows of Y1 are columns of
+         [Y0, c] (kept rows), and ||[Y0, c]||^2 <= ||Y0||^2 + ||c||^2;
       3. ``kappa_xm`` is the condition number of an exact eigenbasis X of
          the truncated L x L product P = V_M B, with B = A^-1 U_M.T Y1 and
          Z = B V_M = S diag(lambda) S^-1 the M x M pole matrix:
@@ -270,9 +292,12 @@ def certificate_inputs(
          X is [[S, -C], [0, I]]; with C = P' Sigma Q.T its thin SVD, X has
          the singular values of K = [[S, -P' Sigma], [0, I_k]],
          k = min(M, L - M), plus L - M - k ones, which lie between K's
-         extremes.  Forming C C.T as Z^-1 B B.T Z^-T - I instead would lose
-         half the digits to cancellation.  The value does not depend on the
-         BLAS kernel; a singular or defective Z gives +inf.
+         extremes.  V_perp is never formed: Z^-1 B V_M = I, so
+         Z^-1 B - V_M.T = C V_perp.T, an M x L matrix with C's singular
+         values and left vectors, of which the leading k are taken.
+         Forming C C.T as Z^-1 B B.T Z^-T - I instead would lose half the
+         digits to cancellation.  The value does not depend on the BLAS
+         kernel; a singular or defective Z gives +inf.
 
     An estimate without signal, or a trace of 9 samples or fewer, raises
     :class:`CertificateUnavailableError`.
@@ -285,14 +310,14 @@ def certificate_inputs(
     factors = estimate.truncated_pencil
     if factors is None:
         raise CertificateUnavailableError("certificate unavailable (no signal detected)")
-    a, sigma = factors.sv, estimate.singular_values
+    a, sigma, delta = factors.sv, estimate.singular_values, estimate.dropped_norm
     s1 = float(sigma[0])
     tail = float(sigma[a.size]) if a.size < sigma.size else 0.0
     return BoundInputs(
         m0=m0, alpha0=alpha0, m=estimate.order, n=n, l=estimate.pencil_parameter,
         t1=trace.t_start, ts=trace.period, sigma_m=float(a[-1]),
-        y1_norm=math.hypot(s1, *factors.y1[:, 0].tolist()),
-        y0_trunc_gap=tail + float(np.finfo(float).eps) * s1,
+        y1_norm=math.hypot(s1, *factors.y1[:, 0].tolist(), delta),
+        y0_trunc_gap=math.hypot(tail, delta) + float(np.finfo(float).eps) * s1,
         kappa_xm=_exact_kappa(factors),
     )
 

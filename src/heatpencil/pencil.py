@@ -12,7 +12,11 @@ computed.  A window whose pencil parameter L is at least
 ``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix Y by
 the (L+1) x (L+1) triangular factor R of ``Y = QR``: R has Y's singular
 values, and its column blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` give the same
-poles and certificate norms, so every later factorization runs on L+1 rows.
+poles and certificate norms.  The trace is a sum of a few detectable
+exponentials, so R's trailing rows are mostly rounding: only the leading K
+rows whose trailing Frobenius norm exceeds eps * ||R||_F are kept, and
+every later factorization runs on those K rows.  The norm delta of the
+rows dropped travels with the estimate, and the certificate widens by it.
 Only real nonincreasing signals are supported: complex or growing poles are
 treated as artifacts and dropped.
 The series coefficients are a separate linear least-squares fit of
@@ -115,16 +119,12 @@ class TruncatedPencil:
     C-contiguous copies.  On the direct path that matrix is the Hankel
     matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
     have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
-    Y's triangular factor R, so they are ``Q.T @ Y0`` and ``Q.T @ Y1`` with
-    L+1 rows, which have the same singular values, 2-norms and pencil.
+    the leading K rows of Y's triangular factor R, so they are the first K
+    rows of ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular
+    values, 2-norms and pencil up to the norm of the rows dropped.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
-    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  ``vperp`` holds the
-    trailing L - M right singular vectors of Y0, which complete ``vm`` to an
-    orthogonal basis; only the certificate reads it, on every window, for
-    the M x (L - M) block of the pencil product's exact eigenbasis
-    (:func:`heatpencil.bounds.certificate_inputs`).  At M = L, as
-    :func:`factor_pencil` returns it, the factors are Y0's whole thin SVD
-    and ``vperp`` has no columns.
+    eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  As
+    :func:`factor_pencil` returns them, the factors are Y0's whole thin SVD.
     """
 
     y0: np.ndarray = field(repr=False)
@@ -132,7 +132,6 @@ class TruncatedPencil:
     um: np.ndarray = field(repr=False)
     sv: np.ndarray = field(repr=False)
     vm: np.ndarray = field(repr=False)
-    vperp: np.ndarray = field(repr=False)
 
 
 def factor_pencil(y: np.ndarray) -> TruncatedPencil:
@@ -149,8 +148,7 @@ def factor_pencil(y: np.ndarray) -> TruncatedPencil:
     y0 = np.ascontiguousarray(y[:, length - 1 :: -1])
     y1 = np.ascontiguousarray(y[:, length:0:-1])
     u, s, vt = np.linalg.svd(y0, full_matrices=False)
-    v = vt.T
-    return TruncatedPencil(y0=y0, y1=y1, um=u, sv=s, vm=v, vperp=v[:, length:])
+    return TruncatedPencil(y0=y0, y1=y1, um=u, sv=s, vm=vt.T)
 
 
 def estimate_poles(
@@ -160,8 +158,8 @@ def estimate_poles(
     part, from the factorization :func:`factor_pencil` returns.
 
     Returns the possibly complex eigenvalues together with the factors
-    truncated to ``order`` (the trailing right singular vectors kept as
-    ``vperp``), from which the error certificate's spectral inputs are read.
+    truncated to ``order``, from which the error certificate's spectral
+    inputs are read.
     """
     rows, length = factors.y0.shape
     if not (1 <= order <= min(rows, length)):
@@ -176,9 +174,7 @@ def estimate_poles(
     z_e = (um.T @ factors.y1 @ vm) / a[:, None]
     eigvals = np.linalg.eigvals(z_e)
     eigvals = eigvals[np.argsort(-eigvals.real)]
-    return eigvals, TruncatedPencil(
-        y0=factors.y0, y1=factors.y1, um=um, sv=a, vm=vm, vperp=factors.vm[:, order:]
-    )
+    return eigvals, TruncatedPencil(y0=factors.y0, y1=factors.y1, um=um, sv=a, vm=vm)
 
 
 def poles_to_rates(poles: np.ndarray, period: float) -> np.ndarray:
@@ -243,11 +239,14 @@ class PencilEstimate:
     ``poles`` descend and ``rates`` ascend.  ``truncated_pencil`` holds the
     factors of the pole solve at the detected order (None when no signal was
     detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
-    columns, blocks of Y's triangular factor R at or above it.
-    ``singular_values`` is the spectrum of the block Y0, the L values from
-    which the order on Y is read; Y's own L+1 values interlace them.
-    ``order`` counts the poles kept after complex and growing ones are
-    discarded.
+    columns, blocks of the leading K rows of Y's triangular factor R at or
+    above it.  ``singular_values`` is the spectrum of the block Y0 the
+    pole solve factored, from which the order on Y is read: Y0's L values
+    on the direct path, min(K, L) values on a compressed one.
+    ``dropped_norm`` is the Frobenius norm delta of R's rows dropped, at
+    most eps * ||R||_F, and 0.0 on the direct path or when no row is
+    dropped.  ``order`` counts the poles kept after complex and growing
+    ones are discarded.
     """
 
     order: int
@@ -256,6 +255,7 @@ class PencilEstimate:
     singular_values: np.ndarray = field(repr=False)
     truncated_pencil: TruncatedPencil | None = field(repr=False)
     pencil_parameter: int
+    dropped_norm: float = 0.0
 
 
 def _order_from_factors(factors: TruncatedPencil) -> int | None:
@@ -319,6 +319,19 @@ def _overflow_error(trace: SampleTrace) -> PencilError:
     )
 
 
+def _drop_rounding_rows(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The leading K rows of the triangular factor ``r`` whose trailing
+    Frobenius norm exceeds eps * ||r||_F (at least one), and the norm of the
+    rows dropped.  The norms are taken on ``r`` scaled by max |r|, so that
+    no square overflows."""
+    scale = float(np.max(np.abs(r))) or 1.0
+    scaled = r / scale
+    tails = np.sqrt(np.cumsum((scaled * scaled).sum(axis=1)[::-1])[::-1])
+    keep = max(1, int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])))
+    dropped = float(tails[keep]) * scale if keep < tails.size else 0.0
+    return r[:keep], dropped
+
+
 def analyze(trace: SampleTrace) -> PencilEstimate:
     """Run the estimator: order detection, poles, rates in ascending order.
 
@@ -330,21 +343,27 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     cutoff, or the factors are zero or too large to bound, is Y's spectrum
     computed and counted directly.  When L is at least ``_COMPRESS_COLUMNS``,
     Y is first reduced to the triangular factor R of one QR, and every
-    factorization runs on R's L+1 rows.  Complex eigenvalue pairs and poles
-    outside (0, 1 + 1e-9] are discarded with a warning, reducing the
-    reported order; poles within rounding of 1 are clamped to exactly 1
-    (the constant mode).  An order detected on Y beyond the L columns of Y0
-    raises :class:`RankDeficiencyError`.  A trace whose Hankel matrix has a
-    singular value past float64, on either path, raises :class:`PencilError`.
+    factorization, the order's included, runs on the K rows of R above
+    rounding (:func:`_drop_rounding_rows`), whose singular values are
+    within the dropped rows' norm, at most eps * ||R||_F, of Y's; the
+    estimate records that norm as ``dropped_norm``.  Complex eigenvalue
+    pairs and poles outside (0, 1 + 1e-9] are discarded with a warning,
+    reducing the reported order; poles within rounding of 1 are clamped to
+    exactly 1 (the constant mode).  An order detected on Y beyond the L
+    columns of Y0 raises :class:`RankDeficiencyError`.  A trace whose Hankel
+    matrix has a singular value past float64, on either path, raises
+    :class:`PencilError`.
     """
     y = build_hankel(trace)
     length = y.shape[1] - 1
+    dropped = 0.0
     if length >= _COMPRESS_COLUMNS:
         y = np.linalg.qr(y, mode="r")
         # Y's column norms past float64 leave R non-finite, which LAPACK's
         # SVD cannot take.
         if not np.isfinite(y).all():
             raise _overflow_error(trace)
+        y, dropped = _drop_rounding_rows(y)
     factors = factor_pencil(y)
     order = _order_from_factors(factors)
     if order is None:
@@ -382,4 +401,5 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
         singular_values=factors.sv,
         truncated_pencil=truncated,
         pencil_parameter=length,
+        dropped_norm=dropped,
     )

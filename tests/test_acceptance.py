@@ -11,6 +11,7 @@ kernel basis of the truncated pencil product (equivalent computation orders
 span 14.8 to 21.6 on bit-identical data).
 """
 
+import dataclasses
 import math
 import time
 
@@ -81,6 +82,26 @@ class TestPublishedTable:
             else:
                 published.append((row.name, row.value))
         assert [(c.name, c.expected) for c in checks] == published
+
+    def test_a_short_table_misses_its_last_entries(self, reference_run):
+        # a run with 4 controlled-window modes still gets one check per
+        # published entry: the fifth mode's are compared with NaN and missed
+        result = reference_run["result"]
+        step = dataclasses.replace(
+            result.step_window,
+            rates=result.step_window.rates[:4],
+            coefficients=result.step_window.coefficients[:4],
+        )
+        cut = dataclasses.replace(result, step_window=step)
+        checks = reference.compare_reference_run(cut, reference_run["u0_err"])
+        assert len(checks) == 31
+        missed = {c.name: c for c in checks if not c.ok}
+        assert set(missed) == {
+            "free coefficient C_1", "kappa", "controlled-window order",
+            "controlled 100*C'_4", "controlled 100*rate'_4",
+        }
+        for name in ("controlled 100*C'_4", "controlled 100*rate'_4"):
+            assert math.isnan(missed[name].actual)
 
 
 class TestCriterion1FreeWindowEstimates:

@@ -297,8 +297,7 @@ class TestCertificateInputs:
         # a Jordan block has one eigenvector: the eigenvector matrix is singular
         eye = np.eye(2)
         jordan = TruncatedPencil(
-            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye,
-            vperp=np.zeros((2, 0)),
+            y0=eye, y1=np.array([[1.0, 1.0], [0.0, 1.0]]), um=eye, sv=np.ones(2), vm=eye
         )
         est = PencilEstimate(
             order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(3),
@@ -322,9 +321,7 @@ class TestCertificateInputs:
         y1 = np.zeros((length + 1, length))
         y1[:2, :2] = pole_matrix
         y1[:2, 2] = (0.5, 0.25)
-        factors = TruncatedPencil(
-            y0=um @ vm[:, :2].T, y1=y1, um=um, sv=np.ones(2), vm=vm[:, :2], vperp=vm[:, 2:]
-        )
+        factors = TruncatedPencil(y0=um @ vm[:, :2].T, y1=y1, um=um, sv=np.ones(2), vm=vm[:, :2])
         est = PencilEstimate(
             order=2, poles=np.ones(2), rates=np.zeros(2), singular_values=np.ones(length),
             truncated_pencil=factors, pencil_parameter=length,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from heatpencil import pencil, reference
 from heatpencil.bounds import build_certificate, certificate_inputs
@@ -336,13 +337,16 @@ class TestCompressedPath:
 
     @staticmethod
     def check_y1_norms(trace, paths):
-        # each path bounds ||Y1||_2 by hypot(sigma_1(Y0), |c|), c the column
-        # Y0 lacks, read off its own factors; a window led by the constant
-        # mode keeps the bound within 3% of LAPACK's 2-norm of Y1
+        # each path bounds ||Y1||_2 by hypot(sigma_1(Y0), |c|, delta), c the
+        # column Y0 lacks and delta the norm of R's dropped rows (0 on the
+        # direct path), read off its own factors; a window led by the
+        # constant mode keeps the bound within 3% of LAPACK's 2-norm of Y1
         y1_norm = svdvals(build_hankel(trace)[:, 1:])[0]
         for est, inputs in paths:
             bound = math.hypot(
-                est.singular_values[0], np.linalg.norm(est.truncated_pencil.y1[:, 0])
+                est.singular_values[0],
+                np.linalg.norm(est.truncated_pencil.y1[:, 0]),
+                est.dropped_norm,
             )
             assert y1_norm <= inputs.y1_norm == pytest.approx(bound, rel=1e-14)
             assert inputs.y1_norm <= 1.03 * y1_norm
@@ -359,9 +363,12 @@ class TestCompressedPath:
             assert compressed.order == direct.order == 2
             np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
             np.testing.assert_allclose(compressed.rates, direct.rates, rtol=1e-12, atol=0)
-            sigma = svdvals(build_hankel(trace)[:, :-1])  # Y0's spectrum
+            # Y0's spectrum, of which the K rows of R kept carry the first K
+            sigma = svdvals(build_hankel(trace)[:, :-1])
+            kept = compressed.singular_values.size
+            assert kept < compressed.pencil_parameter
             np.testing.assert_allclose(
-                compressed.singular_values, sigma, rtol=0, atol=1e-12 * sigma[0]
+                compressed.singular_values, sigma[:kept], rtol=0, atol=1e-12 * sigma[0]
             )
             assert c_in.sigma_m == pytest.approx(d_in.sigma_m, rel=1e-10)
             self.check_y1_norms(trace, [(compressed, c_in), (direct, d_in)])
@@ -402,7 +409,9 @@ class TestCompressedPath:
         # X = [V_M S, V_perp - V_M Z^-1 B V_perp] diagonalizes the L x L
         # product to rounding; the certificate's kappa, taken from 2M x 2M
         # work, is its condition number, and that of the M x M pole
-        # matrix's unit eigenvectors S, on compressed and direct windows
+        # matrix's unit eigenvectors S, on compressed and direct windows.
+        # The pole solve keeps no V_perp; any orthonormal basis of V_M's
+        # complement gives X the same singular values
         rng = np.random.default_rng(seed)
         eps = np.finfo(float).eps
         for _ in range(24):
@@ -414,7 +423,8 @@ class TestCompressedPath:
             product = tp.vm @ b
             z = b @ tp.vm
             lam, s = np.linalg.eig(z)
-            x = np.hstack((tp.vm @ s, tp.vperp - tp.vm @ np.linalg.solve(z, b @ tp.vperp)))
+            vperp = null_space(tp.vm.T)
+            x = np.hstack((tp.vm @ s, vperp - tp.vm @ np.linalg.solve(z, b @ vperp)))
             assert x.shape == product.shape
             lam_x = np.concatenate((lam, np.zeros(est.pencil_parameter - lam.size)))
             residual = np.linalg.norm(product @ x - x * lam_x, 2)
@@ -424,8 +434,9 @@ class TestCompressedPath:
             assert kappa == pytest.approx(np.linalg.cond(s), rel=1e-6)
 
     def test_gap_is_the_next_singular_value_plus_rounding(self):
-        # sigma_{M+1}(Y0) plus eps * sigma_1 on a compressed window, and the
-        # allowance alone where M = L leaves no singular value out
+        # hypot(sigma_{M+1}(Y0), delta) plus eps * sigma_1 on a compressed
+        # window, delta the norm of R's dropped rows, and the allowance
+        # alone where M = L leaves no singular value out
         rng = np.random.default_rng(9)
         eps = np.finfo(float).eps
         for _ in range(8):
@@ -436,14 +447,15 @@ class TestCompressedPath:
             order = est.truncated_pencil.sv.size
             assert order < est.pencil_parameter
             gap = certificate_inputs(est, trace, *priors).y0_trunc_gap
-            assert gap == float(sigma[order]) + float(eps) * float(sigma[0])
+            assert gap == (
+                math.hypot(float(sigma[order]), est.dropped_norm) + float(eps) * float(sigma[0])
+            )
         # Y0's whole thin SVD with the pole matrix diag(poles)
         length = pencil._COMPRESS_COLUMNS
         sigma, poles = np.linspace(2.0, 1.0, length), np.linspace(0.9, 0.5, length)
         um, vm = np.eye(length + 1, length), np.eye(length)
         full = pencil.TruncatedPencil(
-            y0=um * sigma, y1=um * (sigma * poles), um=um, sv=sigma, vm=vm,
-            vperp=vm[:, length:],
+            y0=um * sigma, y1=um * (sigma * poles), um=um, sv=sigma, vm=vm
         )
         est = pencil.PencilEstimate(
             order=length, poles=poles, rates=np.zeros(length), singular_values=sigma,
@@ -460,11 +472,23 @@ class TestCompressedPath:
         trace = exp_trace([1.0, -0.5], [0.99, 0.9], count, t_start=1.0)
         est = analyze(trace)
         assert est.pencil_parameter == length
-        rows = count - length if length < pencil._COMPRESS_COLUMNS else length + 1
+        # Y's N - L rows on the direct path; on the compressed one, the 5 of
+        # R's L + 1 rows whose trailing norm exceeds eps * ||R||_F
+        direct = length < pencil._COMPRESS_COLUMNS
+        rows = count - length if direct else 5
         truncated = est.truncated_pencil
+        assert est.singular_values.size == min(rows, length)
         assert truncated.y0.shape == (rows, length)
         assert truncated.y1.shape == (rows, length)
         assert truncated.um.shape == (rows, 2)
+        if direct:
+            assert est.dropped_norm == 0.0
+        else:
+            r = np.linalg.qr(build_hankel(trace), mode="r")
+            dropped = np.linalg.norm(r[rows:])
+            assert est.dropped_norm == pytest.approx(dropped, rel=1e-12)
+            assert 0.0 < dropped <= np.finfo(float).eps * np.linalg.norm(r)
+            assert np.linalg.norm(r[rows - 1 :]) > np.finfo(float).eps * np.linalg.norm(r)
 
     def test_reference_windows_stay_direct(self):
         # the published certificate depends on rounding, and reference
@@ -607,6 +631,20 @@ class TestNearOverflow:
             analyze(trace)
         except PencilError:
             pass
+
+    def test_rows_kept_do_not_depend_on_the_scale(self):
+        # R's trailing row norms are taken on R scaled by max |R|: squared
+        # unscaled, entries near 1e300 would overflow and keep one row
+        length = pencil._COMPRESS_COLUMNS + 2
+        trace = exp_trace([1.0, -0.5], [0.99, 0.9], 3 * length)
+        scaled = SampleTrace(trace.t_start, trace.period, trace.values * 2.0**1000)
+        plain, large = analyze(trace), analyze(scaled)
+        assert large.pencil_parameter == length
+        kept = plain.truncated_pencil.y0.shape[0]
+        assert 2 < kept < length
+        assert large.truncated_pencil.y0.shape[0] == kept
+        assert large.order == plain.order == 2
+        np.testing.assert_allclose(large.poles, plain.poles, rtol=1e-12, atol=0)
 
 
 class TestShiftPencilIdentity:

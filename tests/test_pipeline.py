@@ -385,7 +385,8 @@ class TestFactorizationCounts:
 
     def test_with_priors(self, counts, shapes):
         # the certificate factors nothing L-sized on the direct path either:
-        # its one eig is of the M x M pole matrix, its SVDs of C and K
+        # its one eig is of the M x M pole matrix, its SVDs of the M x L
+        # matrix Z^-1 B - V_M.T and of K
         traces, cfg = self._reference_traces()
         result = identify(*traces, cfg, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
@@ -396,7 +397,7 @@ class TestFactorizationCounts:
         assert counts["qr"] == 0
         order = result.free_spectrum.estimate.truncated_pencil.sv.size
         assert shapes["eig"] == [(order, order)]
-        assert shapes["svd"][4:] == [(order, 17 - order), (2 * order, 2 * order)]
+        assert shapes["svd"][4:] == [(order, 17), (2 * order, 2 * order)]
 
     def test_without_priors(self, counts):
         traces, cfg = self._reference_traces()
@@ -408,10 +409,10 @@ class TestFactorizationCounts:
 
     def test_long_windows_factor_each_hankel_matrix_once(self, counts, shapes):
         # 300/300/474 samples: L = 100, 100 and 158, each window compressed
-        # by one QR, and otherwise the reference's factorizations; the
-        # certificate factors nothing L-sized: its one eig is of the M x M
-        # pole matrix, its SVDs of the M x (L - M) block C and of a matrix
-        # of at most 2M x 2M
+        # by one QR to the K rows of R above rounding, and otherwise the
+        # reference's factorizations; the certificate factors nothing
+        # L x L: its one eig is of the M x M pole matrix, its SVDs of the
+        # M x L matrix Z^-1 B - V_M.T and of a matrix of at most 2M x 2M
         traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
         result = identify(*traces, None, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
@@ -419,10 +420,10 @@ class TestFactorizationCounts:
         order = result.free_spectrum.estimate.truncated_pencil.sv.size
         assert order < result.certificate.inputs.l == 100
         assert shapes["eig"] == [(order, order)]
-        pencils = [(101, 100), (101, 100), (159, 158)]  # Y0's block of each R
+        pencils = [(5, 100), (77, 100), (49, 158)]  # Y0's block of each R[:K]
         design = (474, result.u0_coeffs_hat.size)  # the GCV design matrix
         assert shapes["svd"][:4] == [*pencils, design]
-        assert shapes["svd"][4:] == [(order, 100 - order), (2 * order, 2 * order)]
+        assert shapes["svd"][4:] == [(order, 100), (2 * order, 2 * order)]
 
 
 class TestIdentify:
