@@ -25,20 +25,31 @@ sigma-hat_{M+1} moves between the Haswell and Sandybridge OpenBLAS kernels
 by less than 0.61 eps sigma_1 on the seed-1 ``long`` pool; so the
 allowance takes p = 1.
 
-On a compressed window the pole solve factored only the leading K rows of
-Y's triangular factor R, and the gap and the norm take the Frobenius norm
-delta of the rows dropped in quadrature.  For rows stacked as [A; F],
+On a compressed window the pole solve factored the 16-row sketch
+B = Q.T @ Y of :func:`heatpencil.pencil.analyze`, and the gap and the norm
+take the Frobenius norm delta of ``Y - Q @ B`` in quadrature.  Rotate Y's
+rows by the orthogonal [Q, Q_perp]: with B = Q.T @ Y, the rotated Y is the
+row stack [A; F] with A = B and F = Q_perp.T @ Y, whose Frobenius norm is
+||Y - Q Q.T Y||_F = delta, and rotating rows changes no singular value,
+2-norm or pencil.  For rows stacked as [A; F],
 ||[A; F]||_2^2 <= ||A||_2^2 + ||F||_2^2, and Weyl's inequality on
 [A; F].T [A; F] = A.T A + F.T F gives
-sigma_i([A; F])^2 <= sigma_i(A)^2 + ||F||_2^2.  With A the kept rows of
-Y0's block, A_M its rank-M truncation and F the dropped rows, whose 2-norm
-is at most delta, sigma_{M+1}(Y0) and the distance from Y0 to the padded
-rank-M matrix [A_M; 0] the pole solve uses are both at most
-||[A - A_M; F]||_2 <= hypot(sigma_{M+1}(A), delta).  Y1's kept rows are
-columns of [Y0, c]'s kept rows, so ||Y1||_2 <= hypot(sigma_1(A), ||c's
-kept part||, delta).  Against a solve on all of R's rows, the additive
-form sigma_{M+1}(A) + delta widens the seed-1 ``long`` pole bounds a
-median 1.33x, the quadrature form a median 1.16x.
+sigma_i([A; F])^2 <= sigma_i(A)^2 + ||F||_2^2.  With A's Y0 block, A_M its
+rank-M truncation and F's Y0 block, whose 2-norm is at most delta,
+sigma_{M+1}(Y0) and the distance from Y0 to the rank-M matrix Q A_M the
+pole solve uses are both at most ||[A - A_M; F]||_2 <=
+hypot(sigma_{M+1}(A), delta).  A's Y1 block is made of columns of A's Y0
+block and of its column c, so ||Y1||_2 <= hypot(sigma_1(A), ||c||, delta).
+A window whose sketch misses more than a tenth of the order cutoff is
+solved on Y's triangular factor R, all of whose rows are kept: F is empty
+and delta = 0.  delta is formed explicitly from the computed Q and B, so
+unlike a norm of R's trailing rows it includes the sketch's own rounding;
+what the proof takes as exact beyond it, Q.T @ (Y - Q @ B) = 0 and Q
+orthonormal, departs from exactness by rounding, which is left to the
+eps * sigma_1 allowance.  On the
+seed-1 ``long`` pool the pole bounds are a median 1.00x (at most 1.50x)
+those of a solve on R's rows above eps * ||R||_F with their norm in
+quadrature.
 
 The published reference values were computed with rounding-chosen inputs
 instead; :mod:`heatpencil.reference` rebuilds that certificate itself to
@@ -271,18 +282,18 @@ def certificate_inputs(
     """The certificate's inputs for the pole solve ``estimate`` of ``trace``.
 
     One recipe serves every window.  Y0 and Y1 are the Hankel blocks, or on
-    a window the pencil compressed to Y's triangular factor R, ``Q.T @ Y0``
-    and ``Q.T @ Y1``, with the same 2-norms, gap and pencil product, of
-    which the pole solve kept the leading K rows; delta =
-    ``estimate.dropped_norm`` bounds the rest (0 on the direct path).  No
-    factorization is L x L:
+    a compressed window the blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` of Y's
+    sketch B (or of its triangular factor R), with the same 2-norms, gap
+    and pencil product up to delta = ``estimate.dropped_norm``, the norm of
+    what Q misses (0 on the direct path and on R).  No factorization is
+    L x L:
       1. the gap ||Y0 - Y0_M||_2 is bounded by
          ``hypot(singular_values[M], delta) + eps * singular_values[0]``
-         (singular_values[M] taken as 0 at M = L; see the module
+         (taken as 0 where M leaves no singular value out; see the module
          docstring for delta's quadrature and the allowance);
       2. ``y1_norm`` is ``hypot(sigma_1(Y0), ||c||, delta)``,
-         c = ``y1[:, 0]``: the kept rows of Y1 are columns of
-         [Y0, c] (kept rows), and ||[Y0, c]||^2 <= ||Y0||^2 + ||c||^2;
+         c = ``y1[:, 0]``: the rows of Y1 the solve holds are columns of
+         [Y0, c]'s, and ||[Y0, c]||^2 <= ||Y0||^2 + ||c||^2;
       3. ``kappa_xm`` is the condition number of an exact eigenbasis X of
          the truncated L x L product P = V_M B, with B = A^-1 U_M.T Y1 and
          Z = B V_M = S diag(lambda) S^-1 the M x M pole matrix:

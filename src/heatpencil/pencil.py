@@ -9,14 +9,17 @@ Y0 plus one column, so Y's spectrum interlaces Y0's, and the secular
 equation of that column decides the order on Y unless a singular value of
 Y lies within ``_ORDER_BAND`` of the cutoff; only then is Y's spectrum
 computed.  A window whose pencil parameter L is at least
-``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix Y by
-the (L+1) x (L+1) triangular factor R of ``Y = QR``: R has Y's singular
-values, and its column blocks ``Q.T @ Y0`` and ``Q.T @ Y1`` give the same
-poles and certificate norms.  The trace is a sum of a few detectable
-exponentials, so R's trailing rows are mostly rounding: only the leading K
-rows whose trailing Frobenius norm exceeds eps * ||R||_F are kept, and
-every later factorization runs on those K rows.  The norm delta of the
-rows dropped travels with the estimate, and the certificate widens by it.
+``_COMPRESS_COLUMNS`` first replaces the tall (N-L) x (L+1) matrix Y by a
+short one, ``B = Q.T @ Y`` for an orthonormal Q that nearly spans Y's
+columns: B's column blocks give the same poles and certificate norms up to
+the norm delta of ``Y - Q @ B``.  The trace is a sum of a few detectable
+exponentials, so a Gaussian range sketch of ``_SKETCH_COLUMNS`` columns
+finds such a Q (Halko, Martinsson & Tropp, "Finding structure with
+randomness", SIAM Rev. 53(2), 2011), and every later factorization runs on
+B's 16 rows.  delta travels with the estimate, and the certificate widens
+by it.  A window whose delta exceeds a tenth of the order cutoff, as noise
+makes it, is solved on the (L+1) x (L+1) triangular factor R of
+``Y = QR`` instead, with delta = 0.
 Only real nonincreasing signals are supported: complex or growing poles are
 treated as artifacts and dropped.
 The series coefficients are a separate linear least-squares fit of
@@ -29,9 +32,10 @@ spectral inputs; this module imports nothing of the package but ``model``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,12 +48,12 @@ _REALNESS_TOL = 1e-6
 _UNIT_POLE_SLACK = 1e-9
 # Rates below _ZERO_RATE_TOL / period are clamped to exactly zero.
 _ZERO_RATE_TOL = 1e-12
-# Windows with a pencil parameter L at least this large are factored through
-# one QR of Y.  From L = 48 the saving exceeds the timing spread; below it
-# the saving is within that spread, and the reference windows (L = 17 and
-# 27) stay on the direct path bit for bit: the published certificate is
-# rounding-dependent, and heatpencil.reference rebuilds it from the free
-# window's direct blocks.
+# Windows with a pencil parameter L at least this large are solved on a
+# sketch of Y.  The reference windows (L = 17 and 27) stay on the direct
+# path bit for bit: the published certificate is rounding-dependent, and
+# heatpencil.reference rebuilds it from the free window's direct blocks;
+# compressing windows of their size also cost the Monte Carlo workload
+# about 9% when it was measured with a QR.
 _COMPRESS_COLUMNS = 48
 # Singular values at or above this fraction of the largest count toward the
 # model order: the paper's cutoff, used for every published value.
@@ -57,6 +61,11 @@ _EPSILON = 1e-10
 # A singular value of Y within this factor of that cutoff is not decided from
 # Y0's factors: analyze then computes Y's spectrum and counts it directly.
 _ORDER_BAND = 1.01
+# Columns of the Gaussian test matrix that sketches a compressed window's
+# range, and the seed of its generator.  The numerical rank of a noiseless
+# window is at most 2 on the free window and 8 on the reconstruction window.
+_SKETCH_COLUMNS = 16
+_SKETCH_SEED = 2011
 
 
 class PencilError(Exception):
@@ -119,9 +128,10 @@ class TruncatedPencil:
     C-contiguous copies.  On the direct path that matrix is the Hankel
     matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
     have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
-    the leading K rows of Y's triangular factor R, so they are the first K
-    rows of ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular
-    values, 2-norms and pencil up to the norm of the rows dropped.
+    the sketch ``B = Q.T @ Y`` of ``_SKETCH_COLUMNS`` rows, or Y's
+    triangular factor R of L+1 rows where noise defeats the sketch, so they
+    are ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular values,
+    2-norms and pencil up to the norm of what Q misses.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
     eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  As
     :func:`factor_pencil` returns them, the factors are Y0's whole thin SVD.
@@ -239,14 +249,15 @@ class PencilEstimate:
     ``poles`` descend and ``rates`` ascend.  ``truncated_pencil`` holds the
     factors of the pole solve at the detected order (None when no signal was
     detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
-    columns, blocks of the leading K rows of Y's triangular factor R at or
-    above it.  ``singular_values`` is the spectrum of the block Y0 the
+    columns, blocks of its 16-row sketch B (or of its triangular factor R)
+    at or above it.  ``singular_values`` is the spectrum of the block Y0 the
     pole solve factored, from which the order on Y is read: Y0's L values
-    on the direct path, min(K, L) values on a compressed one.
-    ``dropped_norm`` is the Frobenius norm delta of R's rows dropped, at
-    most eps * ||R||_F, and 0.0 on the direct path or when no row is
-    dropped.  ``order`` counts the poles kept after complex and growing
-    ones are discarded.
+    on the direct path, 16 values on a sketched window and L on one solved
+    on R.  ``dropped_norm`` is the Frobenius norm delta of ``Y - Q @ B``,
+    formed explicitly, so it includes the sketch's own rounding; it is at
+    most a tenth of the order cutoff, and 0.0 on the direct path and on R.
+    ``order`` counts the poles kept after complex and growing ones are
+    discarded.
     """
 
     order: int
@@ -319,17 +330,49 @@ def _overflow_error(trace: SampleTrace) -> PencilError:
     )
 
 
-def _drop_rounding_rows(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """The leading K rows of the triangular factor ``r`` whose trailing
-    Frobenius norm exceeds eps * ||r||_F (at least one), and the norm of the
-    rows dropped.  The norms are taken on ``r`` scaled by max |r|, so that
-    no square overflows."""
-    scale = float(np.max(np.abs(r))) or 1.0
-    scaled = r / scale
-    tails = np.sqrt(np.cumsum((scaled * scaled).sum(axis=1)[::-1])[::-1])
-    keep = max(1, int(np.count_nonzero(tails > np.finfo(float).eps * tails[0])))
-    dropped = float(tails[keep]) * scale if keep < tails.size else 0.0
-    return r[:keep], dropped
+@functools.lru_cache(maxsize=8)
+def _test_matrix(columns: int) -> np.ndarray:
+    """The read-only ``columns x _SKETCH_COLUMNS`` Gaussian test matrix Omega.
+
+    Its entries are the first ``columns * _SKETCH_COLUMNS`` draws, row by
+    row, of ``np.random.default_rng(_SKETCH_SEED).standard_normal``, a
+    generator of its own: numpy's global one is neither read nor advanced.
+    The last 8 shapes are kept."""
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((columns, _SKETCH_COLUMNS))
+    omega.flags.writeable = False
+    return omega
+
+
+def _compress(y: np.ndarray) -> tuple[TruncatedPencil, float]:
+    """The pencil factors of ``Q.T @ y`` for an orthonormal Q whose columns
+    nearly span ``y``'s, with the norm delta of what Q misses.
+
+    Q is the range sketch of Halko, Martinsson & Tropp ("Finding structure
+    with randomness", SIAM Rev. 53(2), 2011): Q = qr(y @ Omega), Omega the
+    (L+1) x ``_SKETCH_COLUMNS`` test matrix.  B = Q.T @ y is re-projected
+    once, B += Q.T @ E with E = y - Q @ B, which takes back what the first
+    pass's rounding left in Q's range, and delta = ||y - Q @ B||_F is formed
+    explicitly.  Where delta exceeds a tenth of the order cutoff
+    ``_EPSILON * sigma_1(B's Y0 block)``, the sketch misses part of the
+    spectrum the order counts, and the factors are those of y's triangular
+    factor R instead, with delta = 0: the sketch's limit k = L + 1 with
+    Omega = I.  ``y`` must be scaled so that no product overflows."""
+    q, _ = np.linalg.qr(y @ _test_matrix(y.shape[1]))
+    b = q.T @ y
+    # E = y - Q @ B twice in one buffer: once to re-project, once for delta
+    e = q @ b
+    np.subtract(y, e, out=e)
+    b += q.T @ e
+    np.matmul(q, b, out=e)
+    np.subtract(y, e, out=e)
+    dropped = math.sqrt(float(np.vdot(e, e)))
+    limit = 0.1 * _EPSILON
+    # ||B||_F bounds sigma_1 from above: past it, B's SVD cannot pass
+    if dropped <= limit * math.sqrt(float(np.vdot(b, b))):
+        factors = factor_pencil(b)
+        if dropped <= limit * float(factors.sv[0]):
+            return factors, dropped
+    return factor_pencil(np.linalg.qr(y, mode="r")), 0.0
 
 
 def analyze(trace: SampleTrace) -> PencilEstimate:
@@ -342,29 +385,39 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
     Only when a singular value of Y lies within ``_ORDER_BAND`` of the
     cutoff, or the factors are zero or too large to bound, is Y's spectrum
     computed and counted directly.  When L is at least ``_COMPRESS_COLUMNS``,
-    Y is first reduced to the triangular factor R of one QR, and every
-    factorization, the order's included, runs on the K rows of R above
-    rounding (:func:`_drop_rounding_rows`), whose singular values are
-    within the dropped rows' norm, at most eps * ||R||_F, of Y's; the
-    estimate records that norm as ``dropped_norm``.  Complex eigenvalue
+    Y is first scaled by the power of two that brings max |y| into
+    [0.5, 1), so that no product overflows and a trace scaled by a power of
+    two gives the same bits, and then reduced to its sketch B
+    (:func:`_compress`); every factorization, the order's included, runs on
+    B, and the estimate's factors, spectrum and ``dropped_norm`` are scaled
+    back.  B keeps the order: ``sigma_j(B) <= sigma_j(Y) <=
+    hypot(sigma_j(B), delta)``, and with delta at most a tenth of the
+    cutoff, an order decided outside ``_ORDER_BAND`` on B is the order on
+    Y; within the band, Y's spectrum is counted.  Complex eigenvalue
     pairs and poles outside (0, 1 + 1e-9] are discarded with a warning,
     reducing the reported order; poles within rounding of 1 are clamped to
     exactly 1 (the constant mode).  An order detected on Y beyond the L
     columns of Y0 raises :class:`RankDeficiencyError`.  A trace whose Hankel
-    matrix has a singular value past float64, on either path, raises
-    :class:`PencilError`.
+    matrix has a singular value past float64 raises :class:`PencilError`,
+    as does a compressed window whose upper bound on that value,
+    ``hypot(sigma_1(Y0), ||c||)`` with c the column Y0 lacks, is past it.
     """
     y = build_hankel(trace)
     length = y.shape[1] - 1
-    dropped = 0.0
+    exponent, dropped = 0, 0.0
     if length >= _COMPRESS_COLUMNS:
-        y = np.linalg.qr(y, mode="r")
-        # Y's column norms past float64 leave R non-finite, which LAPACK's
-        # SVD cannot take.
-        if not np.isfinite(y).all():
-            raise _overflow_error(trace)
-        y, dropped = _drop_rounding_rows(y)
-    factors = factor_pencil(y)
+        # Y / 2**exponent has entries below 1: no product of the sketch
+        # overflows, and a trace scaled by a power of two gives the same bits
+        exponent = math.frexp(float(np.max(np.abs(trace.values))))[1]
+        y = np.ldexp(y, -exponent)
+        factors, dropped = _compress(y)
+        norm_bound = math.hypot(float(factors.sv[0]), *factors.y1[:, 0].tolist())
+        try:
+            math.ldexp(norm_bound, exponent)
+        except OverflowError:
+            raise _overflow_error(trace) from None
+    else:
+        factors = factor_pencil(y)
     order = _order_from_factors(factors)
     if order is None:
         sigma_y = np.linalg.svd(y, compute_uv=False)
@@ -394,11 +447,22 @@ def analyze(trace: SampleTrace) -> PencilEstimate:
                 stacklevel=2,
             )
         poles = np.minimum(poles[in_range], 1.0)
+    sigma = factors.sv
+    if exponent:
+        dropped = math.ldexp(dropped, exponent)
+        sigma = np.ldexp(sigma, exponent)
+        if truncated is not None:
+            truncated = replace(
+                truncated,
+                y0=np.ldexp(truncated.y0, exponent),
+                y1=np.ldexp(truncated.y1, exponent),
+                sv=np.ldexp(truncated.sv, exponent),
+            )
     return PencilEstimate(
         order=poles.size,
         poles=poles,
         rates=poles_to_rates(poles, trace.period),
-        singular_values=factors.sv,
+        singular_values=sigma,
         truncated_pencil=truncated,
         pencil_parameter=length,
         dropped_norm=dropped,

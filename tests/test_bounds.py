@@ -333,9 +333,10 @@ class TestCertificateInputs:
 
     @staticmethod
     def inputs_under_blas_kernels(sizes):
-        """``(kappa_xm, y1_norm)`` of ``identify``'s certificate on the
-        reference problem sampled at ``sizes`` (n1, n2, n_rec), computed in
-        a subprocess under the Haswell and then the Sandybridge kernel."""
+        """``(kappa_xm, y1_norm, rows)`` of ``identify``'s certificate on
+        the reference problem sampled at ``sizes`` (n1, n2, n_rec), rows
+        the free window's pole solve factored, computed in a subprocess
+        under the Haswell and then the Sandybridge kernel."""
         n1, n2, n_rec = sizes
         script = (
             "from heatpencil import reference, pipeline\n"
@@ -343,7 +344,8 @@ class TestCertificateInputs:
             f"traces = sample_windows(reference.reference_problem(), {n1}, {n2}, 0.01, {n_rec})\n"
             "result = pipeline.identify(*traces, None, reference.REFERENCE_PRIORS)\n"
             "inputs = result.certificate.inputs\n"
-            "print(repr(inputs.kappa_xm), repr(inputs.y1_norm))\n"
+            "rows = result.free_spectrum.estimate.truncated_pencil.y0.shape[0]\n"
+            "print(repr(inputs.kappa_xm), repr(inputs.y1_norm), rows)\n"
         )
         src = str(Path(heatpencil.__file__).parents[1])
         runs = []
@@ -364,8 +366,13 @@ class TestCertificateInputs:
         # its kappa moved by several percent between these kernels on this
         # window; the exact eigenbasis does not, nor does the bound on
         # ||Y1||.  The gap, sigma_{M+1} at rounding level, moves with the
-        # kernel, and the pole bound with it, so neither is pinned.
-        (kappa_h, y1_h), (kappa_s, y1_s) = self.inputs_under_blas_kernels((300, 300, 474))
+        # kernel, and the pole bound with it, so neither is pinned.  The
+        # free window's row count is the sketch's width, which no kernel's
+        # rounding moves
+        (kappa_h, y1_h, rows_h), (kappa_s, y1_s, rows_s) = self.inputs_under_blas_kernels(
+            (300, 300, 474)
+        )
+        assert rows_h == rows_s == heatpencil.pencil._SKETCH_COLUMNS
         assert math.isfinite(kappa_h)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)
@@ -379,7 +386,10 @@ class TestCertificateInputs:
         # matrix itself; LAPACK's kappa of its L x L eigenvectors reads
         # 18.3 under one kernel and other values under others, the exact
         # eigenbasis 1.8526 under every one
-        (kappa_h, y1_h), (kappa_s, y1_s) = self.inputs_under_blas_kernels((50, 50, 79))
+        (kappa_h, y1_h, rows_h), (kappa_s, y1_s, rows_s) = self.inputs_under_blas_kernels(
+            (50, 50, 79)
+        )
+        assert rows_h == rows_s == 50 - 17
         assert kappa_h == pytest.approx(1.8526, rel=1e-4)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)

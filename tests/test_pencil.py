@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 import sys
@@ -319,8 +320,8 @@ def free_window(rng, alpha_range, count):
 
 
 class TestCompressedPath:
-    """Windows with L >= ``_COMPRESS_COLUMNS`` are solved on the triangular
-    factor R of ``Y = QR``; the direct path solves on Y itself."""
+    """Windows with L >= ``_COMPRESS_COLUMNS`` are solved on the sketch
+    ``B = Q.T @ Y``; the direct path solves on Y itself."""
 
     @staticmethod
     def both_paths(trace, priors, monkeypatch):
@@ -338,7 +339,7 @@ class TestCompressedPath:
     @staticmethod
     def check_y1_norms(trace, paths):
         # each path bounds ||Y1||_2 by hypot(sigma_1(Y0), |c|, delta), c the
-        # column Y0 lacks and delta the norm of R's dropped rows (0 on the
+        # column Y0 lacks and delta the norm of what the sketch misses (0 on the
         # direct path), read off its own factors; a window led by the
         # constant mode keeps the bound within 3% of LAPACK's 2-norm of Y1
         y1_norm = svdvals(build_hankel(trace)[:, 1:])[0]
@@ -363,7 +364,7 @@ class TestCompressedPath:
             assert compressed.order == direct.order == 2
             np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
             np.testing.assert_allclose(compressed.rates, direct.rates, rtol=1e-12, atol=0)
-            # Y0's spectrum, of which the K rows of R kept carry the first K
+            # Y0's spectrum, of which the sketch's 16 rows carry the first 16
             sigma = svdvals(build_hankel(trace)[:, :-1])
             kept = compressed.singular_values.size
             assert kept < compressed.pencil_parameter
@@ -435,7 +436,7 @@ class TestCompressedPath:
 
     def test_gap_is_the_next_singular_value_plus_rounding(self):
         # hypot(sigma_{M+1}(Y0), delta) plus eps * sigma_1 on a compressed
-        # window, delta the norm of R's dropped rows, and the allowance
+        # window, delta the norm of what the sketch misses, and the allowance
         # alone where M = L leaves no singular value out
         rng = np.random.default_rng(9)
         eps = np.finfo(float).eps
@@ -472,10 +473,10 @@ class TestCompressedPath:
         trace = exp_trace([1.0, -0.5], [0.99, 0.9], count, t_start=1.0)
         est = analyze(trace)
         assert est.pencil_parameter == length
-        # Y's N - L rows on the direct path; on the compressed one, the 5 of
-        # R's L + 1 rows whose trailing norm exceeds eps * ||R||_F
+        # Y's N - L rows on the direct path; on the compressed one, the 16
+        # rows of Y's sketch, whatever the BLAS kernel
         direct = length < pencil._COMPRESS_COLUMNS
-        rows = count - length if direct else 5
+        rows = count - length if direct else pencil._SKETCH_COLUMNS
         truncated = est.truncated_pencil
         assert est.singular_values.size == min(rows, length)
         assert truncated.y0.shape == (rows, length)
@@ -484,17 +485,89 @@ class TestCompressedPath:
         if direct:
             assert est.dropped_norm == 0.0
         else:
-            r = np.linalg.qr(build_hankel(trace), mode="r")
-            dropped = np.linalg.norm(r[rows:])
-            assert est.dropped_norm == pytest.approx(dropped, rel=1e-12)
-            assert 0.0 < dropped <= np.finfo(float).eps * np.linalg.norm(r)
-            assert np.linalg.norm(r[rows - 1 :]) > np.finfo(float).eps * np.linalg.norm(r)
+            # delta is the rounding the sketch leaves, far inside the tenth
+            # of the order cutoff past which R would be factored instead
+            y = build_hankel(trace)
+            assert 0.0 < est.dropped_norm <= 4 * np.finfo(float).eps * np.linalg.norm(y)
+            assert est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
+            sigma = svdvals(y[:, :-1])
+            np.testing.assert_allclose(
+                est.singular_values[:2], sigma[:2], rtol=0, atol=1e-14 * sigma[0]
+            )
 
     def test_reference_windows_stay_direct(self):
         # the published certificate depends on rounding, and reference
         # rebuilds it from the free window's direct Hankel blocks, so the
         # reference windows (L = 17 and 27) must keep the direct path
         assert resolve_pencil_parameter(79) < pencil._COMPRESS_COLUMNS
+
+
+class TestSketch:
+    """The compressed path's Gaussian test matrix and its R fallback."""
+
+    # SHA-256 of the 101 x 16 test matrix's bytes: a numpy release that
+    # moves default_rng's normal stream moves every compressed result
+    OMEGA_101_SHA256 = "0505358d98af5116760aa2b7ee6da84b97bc76080d8354c9865c7794e64d02e6"
+
+    def test_test_matrix_is_read_only(self):
+        omega = pencil._test_matrix(101)
+        assert omega.shape == (101, pencil._SKETCH_COLUMNS)
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0, 0] = 0.0
+
+    def test_test_matrix_is_pinned(self):
+        omega = pencil._test_matrix(101)
+        assert hashlib.sha256(omega.tobytes()).hexdigest() == self.OMEGA_101_SHA256
+        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 16)
+        assert omega.tobytes() == draws.tobytes()
+
+    def test_global_generator_untouched(self):
+        np.random.seed(3)
+        before = np.random.get_state()
+        pencil._test_matrix.cache_clear()
+        length = pencil._COMPRESS_COLUMNS + 5
+        analyze(exp_trace([1.0, -0.5], [0.99, 0.9], 3 * length))
+        after = np.random.get_state()
+        assert after[0] == before[0]
+        assert np.array_equal(after[1], before[1])
+        assert after[2:] == before[2:]
+
+    @staticmethod
+    def noisy_reconstruction_window(sigma):
+        trace = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)[2]
+        noise = sigma * np.random.default_rng(0).standard_normal(trace.values.size)
+        return SampleTrace(trace.t_start, trace.period, trace.values + noise)
+
+    def test_noise_below_the_cutoff_keeps_the_sketch(self):
+        trace = self.noisy_reconstruction_window(1e-12)
+        est = analyze(trace)
+        assert est.pencil_parameter == 158
+        assert est.truncated_pencil.y0.shape == (pencil._SKETCH_COLUMNS, 158)
+        assert 0.0 < est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
+        assert est.order == detect_order(svdvals(build_hankel(trace)), pencil._EPSILON)
+
+    def test_noise_above_the_cutoff_falls_back_to_r(self, monkeypatch):
+        # 1e-8 noise lifts every singular value of Y above the cutoff: the
+        # sketch misses most of them, the window is solved on R with
+        # delta = 0, and Y's order is refused by name, never by LAPACK
+        trace = self.noisy_reconstruction_window(1e-8)
+        y = build_hankel(trace)
+        scaled = np.ldexp(y, -math.frexp(float(np.max(np.abs(trace.values))))[1])
+        factors, dropped = pencil._compress(scaled)
+        assert dropped == 0.0
+        assert factors.y0.shape == (159, 158)
+        shapes = []
+        original = np.linalg.qr
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        message = "order 159 detected on Y exceeds the 158 columns of Y0"
+        with pytest.raises(RankDeficiencyError, match=re.escape(message)):
+            analyze(trace)
+        assert shapes == [(316, pencil._SKETCH_COLUMNS), (316, 159)]
 
 
 def log_uniform(lo, hi):
@@ -546,10 +619,9 @@ class TestOrderFromY0:
     @given(order_cases())
     @pytest.mark.filterwarnings("ignore::UserWarning")  # discarded poles of noisy traces
     def test_order_is_the_count_on_y(self, trace):
+        # counted on Y itself, whichever matrix analyze factors
         y = build_hankel(trace)
         length = y.shape[1] - 1
-        if length >= pencil._COMPRESS_COLUMNS:
-            y = np.linalg.qr(y, mode="r")
         expected = detect_order(svdvals(y), pencil._EPSILON)
         # decided or left to Y's spectrum, never decided otherwise
         assert pencil._order_from_factors(factor_pencil(y)) in (None, expected)
@@ -633,8 +705,9 @@ class TestNearOverflow:
             pass
 
     def test_rows_kept_do_not_depend_on_the_scale(self):
-        # R's trailing row norms are taken on R scaled by max |R|: squared
-        # unscaled, entries near 1e300 would overflow and keep one row
+        # the sketch runs on Y scaled by a power of two, so a trace scaled by
+        # 2**1000 is sketched and solved on the same bits; unscaled, entries
+        # near 1e300 would overflow its products
         length = pencil._COMPRESS_COLUMNS + 2
         trace = exp_trace([1.0, -0.5], [0.99, 0.9], 3 * length)
         scaled = SampleTrace(trace.t_start, trace.period, trace.values * 2.0**1000)
@@ -644,7 +717,11 @@ class TestNearOverflow:
         assert 2 < kept < length
         assert large.truncated_pencil.y0.shape[0] == kept
         assert large.order == plain.order == 2
-        np.testing.assert_allclose(large.poles, plain.poles, rtol=1e-12, atol=0)
+        assert large.poles.tobytes() == plain.poles.tobytes()
+        assert large.dropped_norm == plain.dropped_norm * 2.0**1000
+        assert large.truncated_pencil.y1.tobytes() == (
+            plain.truncated_pencil.y1 * 2.0**1000
+        ).tobytes()
 
 
 class TestShiftPencilIdentity:

@@ -409,10 +409,12 @@ class TestFactorizationCounts:
 
     def test_long_windows_factor_each_hankel_matrix_once(self, counts, shapes):
         # 300/300/474 samples: L = 100, 100 and 158, each window compressed
-        # by one QR to the K rows of R above rounding, and otherwise the
-        # reference's factorizations; the certificate factors nothing
-        # L x L: its one eig is of the M x M pole matrix, its SVDs of the
-        # M x L matrix Z^-1 B - V_M.T and of a matrix of at most 2M x 2M
+        # to its 16-row sketch by one QR of the (N - L) x 16 product Y Omega,
+        # and otherwise the reference's factorizations; the row count is the
+        # sketch's width, which no BLAS kernel's rounding moves.  The
+        # certificate factors nothing L x L: its one eig is of the M x M
+        # pole matrix, its SVDs of the M x L matrix Z^-1 B - V_M.T and of a
+        # matrix of at most 2M x 2M
         traces = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)
         result = identify(*traces, None, reference.REFERENCE_PRIORS)
         assert result.certificate is not None
@@ -420,7 +422,8 @@ class TestFactorizationCounts:
         order = result.free_spectrum.estimate.truncated_pencil.sv.size
         assert order < result.certificate.inputs.l == 100
         assert shapes["eig"] == [(order, order)]
-        pencils = [(5, 100), (77, 100), (49, 158)]  # Y0's block of each R[:K]
+        assert shapes["qr"] == [(200, 16), (200, 16), (316, 16)]
+        pencils = [(16, 100), (16, 100), (16, 158)]  # Y0's block of each sketch
         design = (474, result.u0_coeffs_hat.size)  # the GCV design matrix
         assert shapes["svd"][:4] == [*pencils, design]
         assert shapes["svd"][4:] == [(order, 100), (2 * order, 2 * order)]

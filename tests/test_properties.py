@@ -206,14 +206,14 @@ def test_pole_bound_holds_on_compressed_windows(case):
     issued = check_pole_bound(case)
     if issued is None:
         return
-    # the pole solve drops R's rows below rounding; the inputs it certifies
-    # with still dominate LAPACK's values on the whole Hankel blocks
+    # the pole solve runs on Y's 16-row sketch, which misses delta of Y at
+    # rounding level; the inputs it certifies with still dominate LAPACK's
+    # values on the whole Hankel blocks
     free, result = issued
     estimate, inputs = result.free_spectrum.estimate, result.certificate.inputs
     hankel = build_hankel(free)
     eps = np.finfo(float).eps
-    r = np.linalg.qr(hankel, mode="r")
-    assert estimate.dropped_norm <= eps * np.linalg.norm(r)
+    assert estimate.dropped_norm <= 4 * eps * np.linalg.norm(hankel)
     order = estimate.truncated_pencil.sv.size
     sigma_y0 = np.linalg.svd(hankel[:, :-1], compute_uv=False)
     if order < sigma_y0.size:
