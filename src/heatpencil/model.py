@@ -33,10 +33,13 @@ _TAIL_RELATIVE_CUTOFF = 1e-16
 _TAIL_MAX_TERMS = 10**6
 
 # Series temporaries hold at most _BLOCK doubles (1 MB); the tail is summed in
-# chunks of _TAIL_FIRST_CHUNK terms, doubling up to _BLOCK.  exp rounds
-# exponents below _EXP_ZERO to 0.0.
+# chunks of _TAIL_FIRST_CHUNK terms, doubling up to _BLOCK.
 _BLOCK = 2**17
 _TAIL_FIRST_CHUNK = 16
+# The package's one underflow policy (_exp_masked): exp rounds every exponent
+# at or below -745.1332191019412 to +0.0, and its underflow path runs about 13
+# times slower than its normal one, so exponents at or below _EXP_ZERO are not
+# passed to exp at all; their entries are written as the +0.0 exp would give.
 _EXP_ZERO = -746.0
 
 _QUAD_NODES = 16  # Gauss-Legendre nodes per panel
@@ -257,23 +260,32 @@ def problem_from_function(
     return HeatProblem(alpha, coeffs, t1, t2, t3)
 
 
+def _exp_masked(exponent: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(exponent)`` bit for bit, without exp's slow underflow path.
+
+    Entries whose exponent is at or below ``_EXP_ZERO`` are +0.0 without a
+    call to exp, as are those where the mask ``live`` (broadcast against
+    ``exponent``) is False; a nan exponent still gives nan."""
+    mask = np.less_equal(exponent, _EXP_ZERO)
+    np.logical_not(mask, out=mask)
+    if live is not None:
+        mask &= live
+    return np.exp(exponent, out=np.zeros_like(exponent), where=mask)
+
+
 def _exp_row_sums(
     t: np.ndarray, rates: np.ndarray, weights: np.ndarray, keep: np.ndarray | None = None
 ) -> np.ndarray:
     # Row i is sum_j weights[j] * exp(-rates[j] * t[i]), terms j >= keep[i]
     # being exact zeros.  Each row is reduced on its own ((E * w).sum(axis=1),
     # not a BLAS product), so its sum does not depend on the other rows: a
-    # sampled window and a single observation agree bit for bit.  Exponents
-    # below _EXP_ZERO are skipped, as exp's underflow path is slow.
+    # sampled window and a single observation agree bit for bit.
     out = np.empty(t.size)
     step = _BLOCK // (rates.size + 1) + 1
     for s in range(0, t.size, step):
         exponent = -np.outer(t[s:s + step], rates)
-        live = exponent > _EXP_ZERO
-        if keep is not None:
-            live &= np.arange(rates.size) < keep[s:s + step, None]
-        terms = np.exp(exponent, out=np.zeros_like(exponent), where=live)
-        out[s:s + step] = (weights * terms).sum(axis=1)
+        live = None if keep is None else np.arange(rates.size) < keep[s:s + step, None]
+        out[s:s + step] = (weights * _exp_masked(exponent, live)).sum(axis=1)
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, pencil
-from .model import PI_SQ, SampleTrace
+from .model import PI_SQ, SampleTrace, _exp_masked
 
 
 class IdentificationError(Exception):
@@ -269,7 +269,7 @@ def build_design_matrix(alpha: float, times: np.ndarray, m_tilde: int) -> np.nda
         raise ValueError("times must be positive and strictly increasing")
     modes = np.arange(m_tilde)
     with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
-        return np.exp(-alpha * np.outer(times, modes * modes) * PI_SQ)
+        return _exp_masked(-alpha * np.outer(times, modes * modes) * PI_SQ)
 
 
 def _numerical_rank(sv: np.ndarray, shape: tuple[int, int]) -> int:

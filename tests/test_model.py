@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -289,6 +290,41 @@ def control_bracket_oracle(alpha, dt, n_terms):
         if n_terms is None and terms[-1] < 1e-20 * terms[0]:
             break
     return -1.0 / (3.0 * alpha) - dt + math.fsum(terms)
+
+
+class TestMaskedExp:
+    """``model._exp_masked``, the package's one underflow policy, is np.exp
+    bit for bit."""
+
+    # the smallest double whose exp is the least subnormal, and the next
+    # one down, whose exp is +0.0
+    LAST_SUBNORMAL = -745.1332191019411
+    FIRST_ZERO = -745.1332191019412
+
+    def test_equals_exp_on_a_grid(self):
+        grid = np.concatenate([
+            np.linspace(-800.0, 0.0, 16001),
+            np.linspace(-746.5, -744.5, 2001),
+            [self.LAST_SUBNORMAL, self.FIRST_ZERO, model._EXP_ZERO,
+             np.nextafter(model._EXP_ZERO, 0.0), -708.4, -np.inf, -0.0, 0.0],
+        ])
+        assert np.exp(self.LAST_SUBNORMAL) == 5e-324
+        assert np.exp(self.FIRST_ZERO) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._exp_masked(grid)
+        assert got.tobytes() == np.exp(grid).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_live_mask_zeroes_its_false_entries(self):
+        exponent = np.array([[-1.0, -2.0, -800.0], [-0.5, -1000.0, -3.0]])
+        live = np.arange(3) < np.array([[2], [3]])
+        expected = np.where(live, np.exp(exponent), 0.0)
+        assert model._exp_masked(exponent, live).tobytes() == expected.tobytes()
+
+    def test_nan_stays_nan(self):
+        got = model._exp_masked(np.array([np.nan, -1.0, -900.0]))
+        assert np.isnan(got[0]) and got[1] == math.exp(-1.0) and got[2] == 0.0
 
 
 class TestSeriesLayer:

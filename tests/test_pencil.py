@@ -1,7 +1,9 @@
 import ast
 import hashlib
 import math
+import platform
 import re
+import resource
 import sys
 from pathlib import Path
 
@@ -553,7 +555,7 @@ class TestSketch:
         trace = self.noisy_reconstruction_window(1e-8)
         y = build_hankel(trace)
         scaled = np.ldexp(y, -math.frexp(float(np.max(np.abs(trace.values))))[1])
-        factors, dropped = pencil._compress(scaled)
+        factors, dropped = pencil._compress(scaled, np.empty_like(scaled))
         assert dropped == 0.0
         assert factors.y0.shape == (159, 158)
         shapes = []
@@ -568,6 +570,23 @@ class TestSketch:
         with pytest.raises(RankDeficiencyError, match=re.escape(message)):
             analyze(trace)
         assert shapes == [(316, pencil._SKETCH_COLUMNS), (316, 159)]
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
+    )
+    def test_repeated_calls_do_not_fault_their_buffers_in_again(self):
+        # the scaled Y and the sketch's residual are one allocation per call,
+        # which glibc keeps mapped from one call to the next; as two 400 KB
+        # buffers they were returned to the system and faulted in again,
+        # about 165 faults per call on this window
+        trace = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)[2]
+        for _ in range(5):
+            analyze(trace)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            analyze(trace)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 50 < 10
 
 
 def log_uniform(lo, hi):

@@ -237,6 +237,17 @@ class TestDesignMatrix:
                     math.exp(-2.5 * j * j * PI_SQ * t), rel=1e-15
                 )
 
+    @pytest.mark.parametrize("n_rec", [79, 474])
+    def test_is_the_plain_exponential_bit_for_bit(self, n_rec):
+        # exponents at or below model._EXP_ZERO skip exp, whose result there
+        # is +0.0 anyway: the reference and a long reconstruction window
+        times = sample_windows(reference.reference_problem(), 300, 300, 0.01, n_rec)[2].times
+        modes = np.arange(20)
+        for alpha in (reference.reference_problem().alpha, 0.5, 40.0):
+            expected = np.exp(-alpha * np.outer(times, modes * modes) * PI_SQ)
+            matrix = build_design_matrix(alpha, times, 20)
+            assert matrix.tobytes() == expected.tobytes()
+
     def test_times_validated(self):
         with pytest.raises(ValueError):
             build_design_matrix(1.0, np.array([0.2, 0.1]), 3)
@@ -423,7 +434,8 @@ class TestFactorizationCounts:
         assert order < result.certificate.inputs.l == 100
         assert shapes["eig"] == [(order, order)]
         assert shapes["qr"] == [(200, 16), (200, 16), (316, 16)]
-        pencils = [(16, 100), (16, 100), (16, 158)]  # Y0's block of each sketch
+        # Y0's block of each sketch, 16 x L, factored through its transpose
+        pencils = [(100, 16), (100, 16), (158, 16)]
         design = (474, result.u0_coeffs_hat.size)  # the GCV design matrix
         assert shapes["svd"][:4] == [*pencils, design]
         assert shapes["svd"][4:] == [(order, 100), (2 * order, 2 * order)]
