@@ -25,7 +25,7 @@ sigma-hat_{M+1} moves between the Haswell and Sandybridge OpenBLAS kernels
 by less than 0.61 eps sigma_1 on the seed-1 ``long`` pool; so the
 allowance takes p = 1.
 
-On a compressed window the pole solve factored the 16-row sketch
+On a compressed window the pole solve factored the 12- or 16-row sketch
 B = Q.T @ Y of :func:`heatpencil.pencil.analyze`, and the gap and the norm
 take the Frobenius norm delta of ``Y - Q @ B`` in quadrature.  Rotate Y's
 rows by the orthogonal [Q, Q_perp]: with B = Q.T @ Y, the rotated Y is the
@@ -270,10 +270,14 @@ def _exact_kappa(factors: pencil.TruncatedPencil) -> float:
     if not np.isfinite(w).all():
         return math.inf
     p, sigma, _ = np.linalg.svd(w, full_matrices=False)
-    k = min(a.size, vm.shape[0] - a.size)
-    return condition_number(
-        np.block([[s, -p[:, :k] * sigma[:k]], [np.zeros((k, a.size)), np.eye(k)]])
-    )
+    m = a.size
+    k = min(m, vm.shape[0] - m)
+    # K = [[S, -P' Sigma], [0, I_k]], complex where S is
+    kk = np.zeros((m + k, m + k), dtype=np.result_type(s, p))
+    kk[:m, :m] = s
+    kk[:m, m:] = -p[:, :k] * sigma[:k]
+    kk[m:, m:] = np.eye(k)
+    return condition_number(kk)
 
 
 def certificate_inputs(

@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,11 +37,12 @@ _TAIL_MAX_TERMS = 10**6
 # chunks of _TAIL_FIRST_CHUNK terms, doubling up to _BLOCK.
 _BLOCK = 2**17
 _TAIL_FIRST_CHUNK = 16
-# The package's one underflow policy (_exp_masked): exp rounds every exponent
-# at or below -745.1332191019412 to +0.0, and its underflow path runs about 13
-# times slower than its normal one, so exponents at or below _EXP_ZERO are not
-# passed to exp at all; their entries are written as the +0.0 exp would give.
-_EXP_ZERO = -746.0
+# The package's one underflow policy (_exp_masked): exp's results below the
+# smallest normal double, 2.2e-308, are written as +0.0, and their exponents
+# are not passed to exp, whose path for subnormal and zero results runs many
+# times slower than its normal one.  _EXP_ZERO, the log of the smallest
+# normal (-708.3964185322641), is the least double whose exp is normal.
+_EXP_ZERO = math.log(sys.float_info.min)
 
 _QUAD_NODES = 16  # Gauss-Legendre nodes per panel
 _QUAD_MAX_PANELS = 2**14
@@ -261,12 +263,14 @@ def problem_from_function(
 
 
 def _exp_masked(exponent: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
-    """``np.exp(exponent)`` bit for bit, without exp's slow underflow path.
+    """``np.exp(exponent)`` with its subnormal results flushed to +0.0,
+    without exp's slow underflow path.
 
-    Entries whose exponent is at or below ``_EXP_ZERO`` are +0.0 without a
-    call to exp, as are those where the mask ``live`` (broadcast against
-    ``exponent``) is False; a nan exponent still gives nan."""
-    mask = np.less_equal(exponent, _EXP_ZERO)
+    Entries whose exponent is below ``_EXP_ZERO``, where exp would give a
+    subnormal or +0.0, are +0.0 without a call to exp, as are those where
+    the mask ``live`` (broadcast against ``exponent``) is False; every other
+    entry is exp's own bits, and a nan exponent still gives nan."""
+    mask = np.less(exponent, _EXP_ZERO)
     np.logical_not(mask, out=mask)
     if live is not None:
         mask &= live

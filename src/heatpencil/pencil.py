@@ -16,11 +16,19 @@ the norm delta of ``Y - Q @ B``.  The trace is a sum of a few detectable
 exponentials, so a Gaussian range sketch of ``_SKETCH_COLUMNS`` columns
 finds such a Q (Halko, Martinsson & Tropp, "Finding structure with
 randomness", SIAM Rev. 53(2), 2011), and every later factorization runs on
-B's 16 rows.  delta travels with the estimate, and the certificate widens
-by it.  A window whose delta exceeds a tenth of the order cutoff, as noise
-makes it, is solved on the (L+1) x (L+1) triangular factor R of
-``Y = QR`` instead, with delta = 0.  Such a window's two Y-sized arrays,
-the scaled copy of Y and the sketch's residual, are the halves of one
+B's rows.  They are 12, ``_SKETCH_FLOOR``, where the sketch's last four
+test columns show, by the paper's a-posteriori estimate, that nothing of Y
+beyond the first twelve directions reaches a tenth of the order cutoff: on
+the ``long`` pools every window, which holds at most 8 such directions.
+They are all 16 where more of Y's spectrum is above that, as on a slowly
+diffusing step window; fewer than 12 would let delta, and the certificate
+with it, grow.  delta travels with the estimate, and the
+certificate widens by it.  A window whose delta exceeds a tenth of the
+order cutoff, as noise makes it, is solved on the (L+1) x (L+1)
+triangular factor R of ``Y = QR`` instead, with delta = 0; where one more
+Gaussian column, a probe, already shows that, no product of Q with Y is
+formed first.  A compressed window's two Y-sized arrays, the scaled copy
+of Y and the sketch's residual, are the halves of one
 allocation per call: glibc's malloc serves a block from its heap once one
 of that size has been freed, and trims the heap's top only past twice that
 size.  Freed together, two 400 KB buffers crossed that line on every call
@@ -72,6 +80,18 @@ _ORDER_BAND = 1.01
 # window is at most 2 on the free window and 8 on the reconstruction window.
 _SKETCH_COLUMNS = 16
 _SKETCH_SEED = 2011
+# Rows a sketch keeps when its last _SKETCH_COLUMNS - _SKETCH_FLOOR test
+# columns show that Y's spectrum beyond these rows lies below the delta
+# limit (_compress).  Below 12 rows delta itself grows: at 8 or 6 rows it
+# reads a median 1.13x or 1.28x larger on the ``long`` free windows of seeds
+# 1-3 (1.38x or 1.90x on the reconstruction windows), and the certificate
+# widens with it.
+_SKETCH_FLOOR = 12
+# Halko, Martinsson & Tropp's a-posteriori factor (section 4.3 of the paper
+# the module docstring cites): ||(I - P) Y||_2 is at most this times
+# max_j ||(I - P) Y omega_j|| over r standard Gaussian omega_j drawn
+# independently of the projector P, with probability at least 1 - 10**-r.
+_HALKO_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
 
 
 class PencilError(Exception):
@@ -134,8 +154,10 @@ class TruncatedPencil:
     C-contiguous copies.  On the direct path that matrix is the Hankel
     matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
     have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
-    the sketch ``B = Q.T @ Y`` of ``_SKETCH_COLUMNS`` rows, or Y's
-    triangular factor R of L+1 rows where noise defeats the sketch, so they
+    the sketch ``B = Q.T @ Y`` of ``_SKETCH_FLOOR`` or ``_SKETCH_COLUMNS``
+    rows (12 where the sketch shows nothing of Y beyond 12 directions above
+    its delta limit, else 16), or Y's triangular factor R of L+1 rows where
+    noise defeats the sketch, so they
     are ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular values,
     2-norms and pencil up to the norm of what Q misses.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
@@ -159,8 +181,9 @@ def factor_pencil(y: np.ndarray) -> TruncatedPencil:
     columns, such as the triangular factor R of ``Y = QR``: only products
     with Y's column space enter the pencil.  The first column of ``y1`` is
     the column of ``y`` that Y0 lacks.  A Y0 with fewer rows than columns,
-    the 16 x L block of a sketch, is factored as ``Y0.T = V S U.T``: LAPACK's
-    tall path takes a fifth to a third less time on those blocks.
+    the 12 x L or 16 x L block of a sketch, is factored as
+    ``Y0.T = V S U.T``: LAPACK's tall path takes a fifth to a third less
+    time on the 16-row blocks.
     """
     length = y.shape[1] - 1
     # Contiguous copies: the BLAS products of the pole solve and the
@@ -262,11 +285,13 @@ class PencilEstimate:
     ``poles`` descend and ``rates`` ascend.  ``truncated_pencil`` holds the
     factors of the pole solve at the detected order (None when no signal was
     detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
-    columns, blocks of its 16-row sketch B (or of its triangular factor R)
-    at or above it.  ``singular_values`` is the spectrum of the block Y0 the
-    pole solve factored, from which the order on Y is read: Y0's L values
-    on the direct path, 16 values on a sketched window and L on one solved
-    on R.  ``dropped_norm`` is the Frobenius norm delta of ``Y - Q @ B``,
+    columns, blocks of its sketch B (or of its triangular factor R) at or
+    above it.  B has 12 rows where the sketch shows nothing of Y beyond 12
+    directions above its delta limit, and 16 otherwise.
+    ``singular_values`` is the spectrum of the block Y0 the pole solve
+    factored, from which the order on Y is read: Y0's L values on the
+    direct path, B's 12 or 16 on a sketched window and L on one solved on
+    R.  ``dropped_norm`` is the Frobenius norm delta of ``Y - Q @ B``,
     formed explicitly, so it includes the sketch's own rounding; it is at
     most a tenth of the order cutoff, and 0.0 on the direct path and on R.
     ``order`` counts the poles kept after complex and growing ones are
@@ -345,13 +370,17 @@ def _overflow_error(trace: SampleTrace) -> PencilError:
 
 @functools.lru_cache(maxsize=8)
 def _test_matrix(columns: int) -> np.ndarray:
-    """The read-only ``columns x _SKETCH_COLUMNS`` Gaussian test matrix Omega.
+    """The read-only ``columns x (_SKETCH_COLUMNS + 1)`` Gaussian test
+    matrix: Omega, then one probe column.
 
-    Its entries are the first ``columns * _SKETCH_COLUMNS`` draws, row by
+    Omega's entries are the first ``columns * _SKETCH_COLUMNS`` draws, row by
     row, of ``np.random.default_rng(_SKETCH_SEED).standard_normal``, a
     generator of its own: numpy's global one is neither read nor advanced.
-    The last 8 shapes are kept."""
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((columns, _SKETCH_COLUMNS))
+    The probe column holds the next ``columns`` draws, so Omega's values do
+    not depend on it.  The last 8 shapes are kept."""
+    rng = np.random.default_rng(_SKETCH_SEED)
+    omega = rng.standard_normal((columns, _SKETCH_COLUMNS))
+    omega = np.column_stack((omega, rng.standard_normal(columns)))
     omega.flags.writeable = False
     return omega
 
@@ -361,19 +390,51 @@ def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     nearly span ``y``'s, with the norm delta of what Q misses.
 
     Q is the range sketch of Halko, Martinsson & Tropp ("Finding structure
-    with randomness", SIAM Rev. 53(2), 2011): Q = qr(y @ Omega), Omega the
-    (L+1) x ``_SKETCH_COLUMNS`` test matrix.  B = Q.T @ y is re-projected
-    once, B += Q.T @ E with E = y - Q @ B, which takes back what the first
-    pass's rounding left in Q's range, and delta = ||y - Q @ B||_F is formed
-    explicitly.  Both residuals are written into ``e``, a buffer of y's
-    shape that :func:`analyze` allocates together with y, so that the
-    window's large arrays are one block (module docstring).  Where
-    delta exceeds a tenth of the order cutoff
-    ``_EPSILON * sigma_1(B's Y0 block)``, the sketch misses part of the
-    spectrum the order counts, and the factors are those of y's triangular
-    factor R instead, with delta = 0: the sketch's limit k = L + 1 with
-    Omega = I.  ``y`` must be scaled so that no product overflows."""
-    q, _ = np.linalg.qr(y @ _test_matrix(y.shape[1]))
+    with randomness", SIAM Rev. 53(2), 2011): QR = y @ Omega, Omega the
+    (L+1) x ``_SKETCH_COLUMNS`` test matrix.  Where delta would exceed the
+    limit, a tenth of the order cutoff ``_EPSILON * sigma_1``, the sketch
+    misses part of the spectrum the order counts, and the factors are those
+    of y's triangular factor R instead, with delta = 0: the sketch's limit
+    k = L + 1 with Omega = I.  Before any product of Q with y, R decides
+    how many of Q's columns to keep:
+      - sigma_1 >= |R_11| / ||omega_1||, since |R_11| = ||y omega_1||;
+      - Q's first ``_SKETCH_FLOOR`` columns span y @ Omega's first ones, so
+        R[_SKETCH_FLOOR:, j] holds what they miss of y omega_j, and Halko et
+        al.'s section 4.3 bounds what they miss of y by ``_HALKO_FACTOR``
+        times the largest of those norms over Omega's last four columns,
+        except with probability 10**-4.  Where that is below the limit, only those
+        columns are kept.  A window with more than ``_SKETCH_FLOOR``
+        directions above the limit, a slowly diffusing step window or a
+        noisy one, keeps all ``_SKETCH_COLUMNS``;
+      - such a window multiplies y by the probe, the test matrix's last
+        column.  The probe's part outside Q's range, over ||probe||, is at
+        most ||y - Q Q.T y||_2 <= delta.  Where it exceeds the limit even
+        with ||y||_F >= sigma_1 in place of sigma_1, as noise makes it,
+        delta would fail, and R is factored at once.  Only windows that keep
+        every column pay for the probe.
+    B = Q.T @ y is re-projected once, B += Q.T @ E with E = y - Q @ B, which
+    takes back what the first pass's rounding left in Q's range, and
+    delta = ||y - Q @ B||_F is formed explicitly and checked against the
+    limit with sigma_1 of B's Y0 block, so an estimate that errs costs the
+    R fallback's time, never a wrong delta.  Both residuals are written into
+    ``e``, a buffer of y's shape that :func:`analyze` allocates together
+    with y, so that the window's large arrays are one block (module
+    docstring).  ``y`` must be scaled so that no product overflows."""
+    omega = _test_matrix(y.shape[1])
+    q, r = np.linalg.qr(y @ omega[:, :_SKETCH_COLUMNS])
+    limit = 0.1 * _EPSILON
+    first = omega[:, 0]
+    cutoff = limit * abs(float(r[0, 0])) / math.sqrt(float(first @ first))
+    # the norms of R's last columns below row _SKETCH_FLOOR, one per column
+    tail = max(map(math.hypot, *r[_SKETCH_FLOOR:, _SKETCH_FLOOR:].tolist()))
+    if _HALKO_FACTOR * tail < cutoff:
+        q = q[:, :_SKETCH_FLOOR]
+    else:
+        probe = omega[:, _SKETCH_COLUMNS]
+        seen = y @ probe
+        missed = float(np.linalg.norm(seen - q @ (q.T @ seen))) / math.sqrt(float(probe @ probe))
+        if missed > cutoff and missed > limit * math.sqrt(float(np.vdot(y, y))):
+            return factor_pencil(np.linalg.qr(y, mode="r")), 0.0
     b = q.T @ y
     # E = y - Q @ B twice: once to re-project, once for delta
     np.matmul(q, b, out=e)
@@ -382,7 +443,6 @@ def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     np.matmul(q, b, out=e)
     np.subtract(y, e, out=e)
     dropped = math.sqrt(float(np.vdot(e, e)))
-    limit = 0.1 * _EPSILON
     # ||B||_F bounds sigma_1 from above: past it, B's SVD cannot pass
     if dropped <= limit * math.sqrt(float(np.vdot(b, b))):
         factors = factor_pencil(b)

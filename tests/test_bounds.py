@@ -335,26 +335,33 @@ class TestCertificateInputs:
     def inputs_under_blas_kernels(sizes):
         """``(kappa_xm, y1_norm, rows)`` of ``identify``'s certificate on
         the reference problem sampled at ``sizes`` (n1, n2, n_rec), rows
-        the free window's pole solve factored, computed in a subprocess
-        under the Haswell and then the Sandybridge kernel."""
+        those of the block each of its pole solves factored, in call order,
+        computed in a subprocess under the Haswell and then the Sandybridge
+        kernel."""
         n1, n2, n_rec = sizes
         script = (
-            "from heatpencil import reference, pipeline\n"
+            "from heatpencil import pencil, reference, pipeline\n"
             "from heatpencil.model import sample_windows\n"
+            "rows, analyze = [], pencil.analyze\n"
+            "def recorded(trace):\n"
+            "    est = analyze(trace)\n"
+            "    rows.append(est.truncated_pencil.y0.shape[0])\n"
+            "    return est\n"
+            "pencil.analyze = recorded\n"
             f"traces = sample_windows(reference.reference_problem(), {n1}, {n2}, 0.01, {n_rec})\n"
             "result = pipeline.identify(*traces, None, reference.REFERENCE_PRIORS)\n"
             "inputs = result.certificate.inputs\n"
-            "rows = result.free_spectrum.estimate.truncated_pencil.y0.shape[0]\n"
-            "print(repr(inputs.kappa_xm), repr(inputs.y1_norm), rows)\n"
+            "print(repr(inputs.kappa_xm), repr(inputs.y1_norm), *rows)\n"
         )
         src = str(Path(heatpencil.__file__).parents[1])
         runs = []
         for kernel in ("Haswell", "Sandybridge"):
             env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
                    "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, check=True)
-            runs.append([float(word) for word in run.stdout.split()])
+            run = subprocess.run([sys.executable, "-W", "ignore", "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            kappa, y1_norm, *rows = run.stdout.split()
+            runs.append((float(kappa), float(y1_norm), [int(r) for r in rows]))
         return runs
 
     @pytest.mark.skipif(
@@ -366,13 +373,14 @@ class TestCertificateInputs:
         # its kappa moved by several percent between these kernels on this
         # window; the exact eigenbasis does not, nor does the bound on
         # ||Y1||.  The gap, sigma_{M+1} at rounding level, moves with the
-        # kernel, and the pole bound with it, so neither is pinned.  The
-        # free window's row count is the sketch's width, which no kernel's
-        # rounding moves
+        # kernel, and the pole bound with it, so neither is pinned.  Each
+        # window's row count is the sketch's floor of 12: the tail its test
+        # columns show reads orders of magnitude below the limit under
+        # every kernel
         (kappa_h, y1_h, rows_h), (kappa_s, y1_s, rows_s) = self.inputs_under_blas_kernels(
             (300, 300, 474)
         )
-        assert rows_h == rows_s == heatpencil.pencil._SKETCH_COLUMNS
+        assert rows_h == rows_s == [heatpencil.pencil._SKETCH_FLOOR] * 3
         assert math.isfinite(kappa_h)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)
@@ -382,14 +390,14 @@ class TestCertificateInputs:
         reason="selects x86_64 OpenBLAS kernels that need AVX2",
     )
     def test_direct_kappa_does_not_depend_on_the_blas_kernel(self):
-        # the reference-sized free window (L = 17) is solved on the Hankel
-        # matrix itself; LAPACK's kappa of its L x L eigenvectors reads
-        # 18.3 under one kernel and other values under others, the exact
-        # eigenbasis 1.8526 under every one
+        # the reference-sized windows (L = 17, 17 and 27) are solved on the
+        # Hankel matrix itself; LAPACK's kappa of the free window's L x L
+        # eigenvectors reads 18.3 under one kernel and other values under
+        # others, the exact eigenbasis 1.8526 under every one
         (kappa_h, y1_h, rows_h), (kappa_s, y1_s, rows_s) = self.inputs_under_blas_kernels(
             (50, 50, 79)
         )
-        assert rows_h == rows_s == 50 - 17
+        assert rows_h == rows_s == [50 - 17, 50 - 17, 79 - 27]
         assert kappa_h == pytest.approx(1.8526, rel=1e-4)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -292,20 +293,34 @@ def control_bracket_oracle(alpha, dt, n_terms):
     return -1.0 / (3.0 * alpha) - dt + math.fsum(terms)
 
 
+def exp_flushed(exponent):
+    """np.exp with its subnormal results written as +0.0."""
+    out = np.exp(exponent)
+    out[out < sys.float_info.min] = 0.0
+    return out
+
+
 class TestMaskedExp:
     """``model._exp_masked``, the package's one underflow policy, is np.exp
-    bit for bit."""
+    with subnormal results flushed to +0.0, bit for bit."""
 
     # the smallest double whose exp is the least subnormal, and the next
     # one down, whose exp is +0.0
     LAST_SUBNORMAL = -745.1332191019411
     FIRST_ZERO = -745.1332191019412
 
+    def test_threshold_is_the_least_exponent_with_a_normal_exp(self):
+        assert model._EXP_ZERO == -708.3964185322641
+        assert np.exp(model._EXP_ZERO) >= sys.float_info.min
+        assert 0.0 < np.exp(np.nextafter(model._EXP_ZERO, -np.inf)) < sys.float_info.min
+
     def test_equals_exp_on_a_grid(self):
+        below = np.nextafter(model._EXP_ZERO, -np.inf)
         grid = np.concatenate([
             np.linspace(-800.0, 0.0, 16001),
             np.linspace(-746.5, -744.5, 2001),
-            [self.LAST_SUBNORMAL, self.FIRST_ZERO, model._EXP_ZERO,
+            np.linspace(-709.0, -708.0, 2001),
+            [self.LAST_SUBNORMAL, self.FIRST_ZERO, model._EXP_ZERO, below,
              np.nextafter(model._EXP_ZERO, 0.0), -708.4, -np.inf, -0.0, 0.0],
         ])
         assert np.exp(self.LAST_SUBNORMAL) == 5e-324
@@ -313,18 +328,21 @@ class TestMaskedExp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = model._exp_masked(grid)
-        assert got.tobytes() == np.exp(grid).tobytes()
+        assert got.tobytes() == exp_flushed(grid).tobytes()
         assert not np.signbit(got).any()
+        assert not (got[got > 0.0] < sys.float_info.min).any()
 
     def test_live_mask_zeroes_its_false_entries(self):
-        exponent = np.array([[-1.0, -2.0, -800.0], [-0.5, -1000.0, -3.0]])
-        live = np.arange(3) < np.array([[2], [3]])
-        expected = np.where(live, np.exp(exponent), 0.0)
+        exponent = np.array([[-1.0, -2.0, -800.0, -708.5], [-0.5, -1000.0, -3.0, -700.0]])
+        live = np.arange(4) < np.array([[2], [4]])
+        expected = np.where(live, exp_flushed(exponent), 0.0)
         assert model._exp_masked(exponent, live).tobytes() == expected.tobytes()
 
     def test_nan_stays_nan(self):
-        got = model._exp_masked(np.array([np.nan, -1.0, -900.0]))
-        assert np.isnan(got[0]) and got[1] == math.exp(-1.0) and got[2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._exp_masked(np.array([np.nan, -1.0, -900.0, -708.5]))
+        assert np.isnan(got[0]) and got[1] == math.exp(-1.0) and got[2] == got[3] == 0.0
 
 
 class TestSeriesLayer:

@@ -475,10 +475,11 @@ class TestCompressedPath:
         trace = exp_trace([1.0, -0.5], [0.99, 0.9], count, t_start=1.0)
         est = analyze(trace)
         assert est.pencil_parameter == length
-        # Y's N - L rows on the direct path; on the compressed one, the 16
-        # rows of Y's sketch, whatever the BLAS kernel
+        # Y's N - L rows on the direct path; on the compressed one, the
+        # sketch's floor of 12 rows, whatever the BLAS kernel: its last test
+        # columns show nothing of this two-mode window beyond them
         direct = length < pencil._COMPRESS_COLUMNS
-        rows = count - length if direct else pencil._SKETCH_COLUMNS
+        rows = count - length if direct else pencil._SKETCH_FLOOR
         truncated = est.truncated_pencil
         assert est.singular_values.size == min(rows, length)
         assert truncated.y0.shape == (rows, length)
@@ -513,15 +514,19 @@ class TestSketch:
 
     def test_test_matrix_is_read_only(self):
         omega = pencil._test_matrix(101)
-        assert omega.shape == (101, pencil._SKETCH_COLUMNS)
+        assert omega.shape == (101, pencil._SKETCH_COLUMNS + 1)
         with pytest.raises(ValueError, match="read-only"):
             omega[0, 0] = 0.0
 
     def test_test_matrix_is_pinned(self):
+        # Omega's 16 columns are the generator's first draws, row by row, and
+        # the probe column the next ones, so Omega does not depend on it
         omega = pencil._test_matrix(101)
-        assert hashlib.sha256(omega.tobytes()).hexdigest() == self.OMEGA_101_SHA256
-        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 16)
-        assert omega.tobytes() == draws.tobytes()
+        sketch = np.ascontiguousarray(omega[:, : pencil._SKETCH_COLUMNS])
+        assert hashlib.sha256(sketch.tobytes()).hexdigest() == self.OMEGA_101_SHA256
+        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 17)
+        assert sketch.tobytes() == draws[: 101 * 16].tobytes()
+        assert omega[:, -1].tobytes() == draws[101 * 16 :].tobytes()
 
     def test_global_generator_untouched(self):
         np.random.seed(3)
@@ -539,6 +544,44 @@ class TestSketch:
         trace = sample_windows(reference.reference_problem(), 300, 300, 0.01, 474)[2]
         noise = sigma * np.random.default_rng(0).standard_normal(trace.values.size)
         return SampleTrace(trace.t_start, trace.period, trace.values + noise)
+
+    @staticmethod
+    def long_windows(alpha=None):
+        """The reference problem's windows on the ``long`` schedule, 300,
+        300 and 474 samples, at its own diffusivity or at ``alpha``."""
+        problem = reference.reference_problem()
+        if alpha is not None:
+            problem = HeatProblem(alpha, problem.u0_coeffs, problem.t1, problem.t2, problem.t3)
+        return sample_windows(problem, 300, 300, 0.01, 474)
+
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")  # the step drift reads as growth
+    def test_reference_long_windows_keep_the_floor(self):
+        # at most 8 directions of these windows lie above the delta limit,
+        # and the sketch's last 4 test columns show it: every factorization
+        # after the QR runs on 12 rows
+        for trace in self.long_windows():
+            est = analyze(trace)
+            length = est.pencil_parameter
+            assert est.truncated_pencil.y0.shape == (pencil._SKETCH_FLOOR, length)
+            assert est.singular_values.size == pencil._SKETCH_FLOOR
+            assert 0.0 < est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
+
+    @pytest.mark.filterwarnings("ignore:discarding:UserWarning")  # the step drift reads as growth
+    def test_slow_diffusion_step_window_keeps_every_column(self, monkeypatch):
+        # at alpha = 0.5 the step window's spectrum falls slowly: more than
+        # 12 of its directions lie above the limit, the sketch's last test
+        # columns show them, and all 16 rows are kept
+        step = self.long_windows(0.5)[1]
+        est = analyze(step)
+        assert est.truncated_pencil.y0.shape == (pencil._SKETCH_COLUMNS, 100)
+        assert 0.0 < est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
+        # 12 rows would miss more than the limit: delta, formed and checked,
+        # sends the window to R, so a wrong estimate costs time, not delta
+        monkeypatch.setattr(pencil, "_HALKO_FACTOR", 0.0)
+        forced = analyze(step)
+        assert forced.truncated_pencil.y0.shape == (101, 100)
+        assert forced.dropped_norm == 0.0
+        assert forced.order == est.order
 
     def test_noise_below_the_cutoff_keeps_the_sketch(self):
         trace = self.noisy_reconstruction_window(1e-12)
@@ -570,6 +613,30 @@ class TestSketch:
         with pytest.raises(RankDeficiencyError, match=re.escape(message)):
             analyze(trace)
         assert shapes == [(316, pencil._SKETCH_COLUMNS), (316, 159)]
+
+    def test_noise_above_the_cutoff_forms_no_product_with_y_after_the_qr(self):
+        # the probe column's part outside Q's range already exceeds the
+        # limit, so neither B = Q.T @ Y nor a residual of Y's size is formed:
+        # the ufuncs that read Y are the sketch's product Y @ Omega and the
+        # probe's Y @ p, a vector
+        trace = self.noisy_reconstruction_window(1e-8)
+        y = build_hankel(trace)
+        scaled = np.ldexp(y, -math.frexp(float(np.max(np.abs(trace.values))))[1])
+        calls = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append(ufunc.__name__)
+                plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        residual = np.full_like(scaled, np.nan)
+        factors, dropped = pencil._compress(scaled.view(Recorded), residual)
+        assert calls == ["matmul", "matmul"]
+        assert np.isnan(residual).all()
+        assert dropped == 0.0
+        expected = factor_pencil(np.linalg.qr(scaled, mode="r"))
+        assert factors.sv.tobytes() == expected.sv.tobytes()
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"

@@ -11,10 +11,20 @@ the same script digests any two checkouts, including ones older than the
 script.  It prints one line per seeded ``batch``, ``long`` and ``noisy`` pool
 (seeds 1 and 2): a SHA-256 over every ``identify`` output of the pool, as
 ``to_dict()`` JSON, refusal type and message, and warnings.  One line digests
-the same outputs on the edge problems no seeded pool holds: a zero initial
-state and a constant one (``u0 = 2``) on the ``batch`` windows (50/50/79
-samples), with no priors and with priors (5, 3), so the path of a free window
-without detectable modes is compared too.  One line digests the ``repr`` of
+the same outputs on the edge problems no seeded pool holds:
+
+- a zero initial state and a constant one (``u0 = 2``) on the ``batch``
+  windows (50/50/79 samples), with no priors and with priors (5, 3), so the
+  path of a free window without detectable modes is compared too;
+- the reference initial state at alpha = 0.2, 0.5 and 1 on the ``long``
+  windows (300/300/474 samples), with the benchmark's priors: slowly
+  diffusing step windows keep the sketch's 16 rows where the pools' windows
+  keep 12;
+- the reference problem's ``long`` windows with seeded Gaussian noise of
+  1e-12 and 1e-8 on the 474-sample reconstruction window, which keeps the
+  16-row sketch and leaves it for Y's triangular factor, respectively.
+
+One line digests the ``repr`` of
 every ``FieldCheck`` that ``reference.compare_reference_run`` returns for
 the reference ``identify``, so a changed computed value, tolerance or note
 shows at full precision, where ``report.md`` prints 6 significant digits.
@@ -31,8 +41,8 @@ that one ``cli.main`` call leaves for the next shows.  Two checkouts that print
 the same lines produced the same bits.
 
 The BLAS is pinned to one thread, as the benchmark pins it: the thread count
-moves the last bits of some results.  Only the standard library and the
-package are used.
+moves the last bits of some results.  Only the standard library, the package
+and numpy, its one dependency, are used.
 """
 
 from __future__ import annotations
@@ -95,9 +105,13 @@ def pool_digest(workloads, name: str, seed: int) -> str:
 
 def edge_digest(workloads) -> str:
     """The zero and the constant initial state on the ``batch`` windows,
-    without and with priors."""
-    from heatpencil import pipeline
-    from heatpencil.model import HeatProblem
+    without and with priors; the reference initial state at slow
+    diffusivities on the ``long`` windows; and the reference problem's
+    ``long`` windows with noise on the reconstruction window."""
+    import numpy as np
+
+    from heatpencil import pipeline, reference
+    from heatpencil.model import HeatProblem, SampleTrace
 
     config = pipeline.PipelineConfig()
     h = hashlib.sha256()
@@ -105,6 +119,16 @@ def edge_digest(workloads) -> str:
         traces = workloads.sample_windows(HeatProblem(4.0, coeffs, 0.3, 0.8, 1.3), 50, 50, 79)
         for priors in (None, (5.0, 3.0)):
             h.update(identify_line(traces, config, priors))
+    problem = reference.reference_problem()
+    for alpha in (0.2, 0.5, 1.0):
+        slow = HeatProblem(alpha, problem.u0_coeffs, 0.3, 0.8, 1.3)
+        traces = workloads.sample_windows(slow, 300, 300, 474)
+        h.update(identify_line(traces, config, workloads.priors_for(slow)))
+    free, step, rec = workloads.sample_windows(problem, 300, 300, 474)
+    for sigma in (1e-12, 1e-8):
+        noise = sigma * np.random.default_rng(0).standard_normal(rec.values.size)
+        noisy = SampleTrace(rec.t_start, rec.period, rec.values + noise)
+        h.update(identify_line((free, step, noisy), config, reference.REFERENCE_PRIORS))
     return h.hexdigest()
 
 
