@@ -270,14 +270,10 @@ def _exact_kappa(factors: pencil.TruncatedPencil) -> float:
     if not np.isfinite(w).all():
         return math.inf
     p, sigma, _ = np.linalg.svd(w, full_matrices=False)
-    m = a.size
-    k = min(m, vm.shape[0] - m)
-    # K = [[S, -P' Sigma], [0, I_k]], complex where S is
-    kk = np.zeros((m + k, m + k), dtype=np.result_type(s, p))
-    kk[:m, :m] = s
-    kk[:m, m:] = -p[:, :k] * sigma[:k]
-    kk[m:, m:] = np.eye(k)
-    return condition_number(kk)
+    k = min(a.size, vm.shape[0] - a.size)
+    return condition_number(
+        np.block([[s, -p[:, :k] * sigma[:k]], [np.zeros((k, a.size)), np.eye(k)]])
+    )
 
 
 def certificate_inputs(

@@ -22,17 +22,15 @@ beyond the first twelve directions reaches a tenth of the order cutoff: on
 the ``long`` pools every window, which holds at most 8 such directions.
 They are all 16 where more of Y's spectrum is above that, as on a slowly
 diffusing step window; fewer than 12 would let delta, and the certificate
-with it, grow.  delta travels with the estimate, and the
-certificate widens by it.  A window whose delta exceeds a tenth of the
-order cutoff, as noise makes it, is solved on the (L+1) x (L+1)
-triangular factor R of ``Y = QR`` instead, with delta = 0; where one more
-Gaussian column, a probe, already shows that, no product of Q with Y is
-formed first.  A compressed window's two Y-sized arrays, the scaled copy
-of Y and the sketch's residual, are the halves of one
-allocation per call: glibc's malloc serves a block from its heap once one
-of that size has been freed, and trims the heap's top only past twice that
-size.  Freed together, two 400 KB buffers crossed that line on every call
-and were faulted in again (165 minor faults per 474-sample window); one
+with it, grow.  delta travels with the estimate, and the certificate
+widens by it.  A window whose delta exceeds a tenth of the order cutoff,
+as noise makes it, is solved on the (L+1) x (L+1) triangular factor R of
+``Y = QR`` instead, with delta = 0.  A compressed window's two Y-sized
+arrays, the scaled copy of Y and the sketch's residual, are the halves of
+one allocation per call: glibc's malloc serves a block from its heap once
+one of that size has been freed, and trims the heap's top only past twice
+that size.  Freed together, two 400 KB buffers crossed that line on every
+call and were faulted in again (165 minor faults per 474-sample window); one
 800 KB block stays mapped.  Nothing is kept between calls.
 Only real nonincreasing signals are supported: complex or growing poles are
 treated as artifacts and dropped.
@@ -370,19 +368,24 @@ def _overflow_error(trace: SampleTrace) -> PencilError:
 
 @functools.lru_cache(maxsize=8)
 def _test_matrix(columns: int) -> np.ndarray:
-    """The read-only ``columns x (_SKETCH_COLUMNS + 1)`` Gaussian test
-    matrix: Omega, then one probe column.
+    """The read-only ``columns x _SKETCH_COLUMNS`` Gaussian test matrix Omega.
 
-    Omega's entries are the first ``columns * _SKETCH_COLUMNS`` draws, row by
+    Its entries are the first ``columns * _SKETCH_COLUMNS`` draws, row by
     row, of ``np.random.default_rng(_SKETCH_SEED).standard_normal``, a
     generator of its own: numpy's global one is neither read nor advanced.
-    The probe column holds the next ``columns`` draws, so Omega's values do
-    not depend on it.  The last 8 shapes are kept."""
-    rng = np.random.default_rng(_SKETCH_SEED)
-    omega = rng.standard_normal((columns, _SKETCH_COLUMNS))
-    omega = np.column_stack((omega, rng.standard_normal(columns)))
+    The last 8 shapes are kept."""
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((columns, _SKETCH_COLUMNS))
     omega.flags.writeable = False
     return omega
+
+
+@functools.lru_cache(maxsize=8)
+def _inverse_squared_norms(columns: int) -> np.ndarray:
+    """1 / ||omega_j||**2 for :func:`_test_matrix`'s columns, read-only."""
+    omega = _test_matrix(columns)
+    scales = 1.0 / (omega * omega).sum(axis=0)
+    scales.flags.writeable = False
+    return scales
 
 
 def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
@@ -397,21 +400,17 @@ def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     of y's triangular factor R instead, with delta = 0: the sketch's limit
     k = L + 1 with Omega = I.  Before any product of Q with y, R decides
     how many of Q's columns to keep:
-      - sigma_1 >= |R_11| / ||omega_1||, since |R_11| = ||y omega_1||;
+      - sigma_1 >= ||R[:, j]|| / ||omega_j|| for every column j, since
+        ||R[:, j]|| = ||y omega_j||, and the largest of these ratios stands
+        for sigma_1 in the limit;
       - Q's first ``_SKETCH_FLOOR`` columns span y @ Omega's first ones, so
         R[_SKETCH_FLOOR:, j] holds what they miss of y omega_j, and Halko et
         al.'s section 4.3 bounds what they miss of y by ``_HALKO_FACTOR``
         times the largest of those norms over Omega's last four columns,
-        except with probability 10**-4.  Where that is below the limit, only those
-        columns are kept.  A window with more than ``_SKETCH_FLOOR``
+        except with probability 10**-4.  Where that is below the limit, only
+        those columns are kept.  A window with more than ``_SKETCH_FLOOR``
         directions above the limit, a slowly diffusing step window or a
-        noisy one, keeps all ``_SKETCH_COLUMNS``;
-      - such a window multiplies y by the probe, the test matrix's last
-        column.  The probe's part outside Q's range, over ||probe||, is at
-        most ||y - Q Q.T y||_2 <= delta.  Where it exceeds the limit even
-        with ||y||_F >= sigma_1 in place of sigma_1, as noise makes it,
-        delta would fail, and R is factored at once.  Only windows that keep
-        every column pay for the probe.
+        noisy one, keeps all ``_SKETCH_COLUMNS``.
     B = Q.T @ y is re-projected once, B += Q.T @ E with E = y - Q @ B, which
     takes back what the first pass's rounding left in Q's range, and
     delta = ||y - Q @ B||_F is formed explicitly and checked against the
@@ -420,21 +419,15 @@ def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     ``e``, a buffer of y's shape that :func:`analyze` allocates together
     with y, so that the window's large arrays are one block (module
     docstring).  ``y`` must be scaled so that no product overflows."""
-    omega = _test_matrix(y.shape[1])
-    q, r = np.linalg.qr(y @ omega[:, :_SKETCH_COLUMNS])
+    q, r = np.linalg.qr(y @ _test_matrix(y.shape[1]))
     limit = 0.1 * _EPSILON
-    first = omega[:, 0]
-    cutoff = limit * abs(float(r[0, 0])) / math.sqrt(float(first @ first))
+    # (||R[:, j]|| / ||omega_j||)**2, the largest a lower bound on sigma_1**2
+    seen = (r * r).sum(axis=0) * _inverse_squared_norms(y.shape[1])
+    cutoff = limit * math.sqrt(float(seen.max()))
     # the norms of R's last columns below row _SKETCH_FLOOR, one per column
     tail = max(map(math.hypot, *r[_SKETCH_FLOOR:, _SKETCH_FLOOR:].tolist()))
     if _HALKO_FACTOR * tail < cutoff:
         q = q[:, :_SKETCH_FLOOR]
-    else:
-        probe = omega[:, _SKETCH_COLUMNS]
-        seen = y @ probe
-        missed = float(np.linalg.norm(seen - q @ (q.T @ seen))) / math.sqrt(float(probe @ probe))
-        if missed > cutoff and missed > limit * math.sqrt(float(np.vdot(y, y))):
-            return factor_pencil(np.linalg.qr(y, mode="r")), 0.0
     b = q.T @ y
     # E = y - Q @ B twice: once to re-project, once for delta
     np.matmul(q, b, out=e)

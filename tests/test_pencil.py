@@ -514,19 +514,15 @@ class TestSketch:
 
     def test_test_matrix_is_read_only(self):
         omega = pencil._test_matrix(101)
-        assert omega.shape == (101, pencil._SKETCH_COLUMNS + 1)
+        assert omega.shape == (101, pencil._SKETCH_COLUMNS)
         with pytest.raises(ValueError, match="read-only"):
             omega[0, 0] = 0.0
 
     def test_test_matrix_is_pinned(self):
-        # Omega's 16 columns are the generator's first draws, row by row, and
-        # the probe column the next ones, so Omega does not depend on it
         omega = pencil._test_matrix(101)
-        sketch = np.ascontiguousarray(omega[:, : pencil._SKETCH_COLUMNS])
-        assert hashlib.sha256(sketch.tobytes()).hexdigest() == self.OMEGA_101_SHA256
-        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 17)
-        assert sketch.tobytes() == draws[: 101 * 16].tobytes()
-        assert omega[:, -1].tobytes() == draws[101 * 16 :].tobytes()
+        assert hashlib.sha256(omega.tobytes()).hexdigest() == self.OMEGA_101_SHA256
+        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 16)
+        assert omega.tobytes() == draws.tobytes()
 
     def test_global_generator_untouched(self):
         np.random.seed(3)
@@ -583,6 +579,20 @@ class TestSketch:
         assert forced.dropped_norm == 0.0
         assert forced.order == est.order
 
+    def test_cutoff_reads_every_test_column(self):
+        # the reference free window with the first test column removed from
+        # its row space: y @ omega_1 and R_11 are at rounding level, and the
+        # other columns' ||y omega_j|| / ||omega_j|| bound sigma_1 instead,
+        # so the sketch still keeps the floor
+        free = self.long_windows()[0]
+        y = build_hankel(free) / np.max(np.abs(free.values))
+        first = pencil._test_matrix(y.shape[1])[:, 0]
+        y = y - np.outer(y @ first, first) / (first @ first)
+        factors, dropped = pencil._compress(y, np.empty_like(y))
+        assert np.linalg.norm(y @ first) < 1e-12 * np.linalg.norm(y, 2) * np.linalg.norm(first)
+        assert factors.y0.shape == (pencil._SKETCH_FLOOR, y.shape[1] - 1)
+        assert 0.0 < dropped <= 0.1 * pencil._EPSILON * factors.sv[0]
+
     def test_noise_below_the_cutoff_keeps_the_sketch(self):
         trace = self.noisy_reconstruction_window(1e-12)
         est = analyze(trace)
@@ -613,30 +623,6 @@ class TestSketch:
         with pytest.raises(RankDeficiencyError, match=re.escape(message)):
             analyze(trace)
         assert shapes == [(316, pencil._SKETCH_COLUMNS), (316, 159)]
-
-    def test_noise_above_the_cutoff_forms_no_product_with_y_after_the_qr(self):
-        # the probe column's part outside Q's range already exceeds the
-        # limit, so neither B = Q.T @ Y nor a residual of Y's size is formed:
-        # the ufuncs that read Y are the sketch's product Y @ Omega and the
-        # probe's Y @ p, a vector
-        trace = self.noisy_reconstruction_window(1e-8)
-        y = build_hankel(trace)
-        scaled = np.ldexp(y, -math.frexp(float(np.max(np.abs(trace.values))))[1])
-        calls = []
-
-        class Recorded(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                calls.append(ufunc.__name__)
-                plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
-                return getattr(ufunc, method)(*plain, **kwargs)
-
-        residual = np.full_like(scaled, np.nan)
-        factors, dropped = pencil._compress(scaled.view(Recorded), residual)
-        assert calls == ["matmul", "matmul"]
-        assert np.isnan(residual).all()
-        assert dropped == 0.0
-        expected = factor_pencil(np.linalg.qr(scaled, mode="r"))
-        assert factors.sv.tobytes() == expected.sv.tobytes()
 
     @pytest.mark.skipif(
         platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
