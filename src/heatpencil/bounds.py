@@ -25,7 +25,7 @@ sigma-hat_{M+1} moves between the Haswell and Sandybridge OpenBLAS kernels
 by less than 0.61 eps sigma_1 on the seed-1 ``long`` pool; so the
 allowance takes p = 1.
 
-On a compressed window the pole solve factored the 12- or 16-row sketch
+On a compressed window the pole solve factored the 12-row sketch
 B = Q.T @ Y of :func:`heatpencil.pencil.analyze`, and the gap and the norm
 take the Frobenius norm delta of ``Y - Q @ B`` in quadrature.  Rotate Y's
 rows by the orthogonal [Q, Q_perp]: with B = Q.T @ Y, the rotated Y is the

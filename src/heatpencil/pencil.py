@@ -13,25 +13,22 @@ computed.  A window whose pencil parameter L is at least
 short one, ``B = Q.T @ Y`` for an orthonormal Q that nearly spans Y's
 columns: B's column blocks give the same poles and certificate norms up to
 the norm delta of ``Y - Q @ B``.  The trace is a sum of a few detectable
-exponentials, so a Gaussian range sketch of ``_SKETCH_COLUMNS`` columns
-finds such a Q (Halko, Martinsson & Tropp, "Finding structure with
+exponentials, so a Gaussian range sketch of ``_SKETCH_COLUMNS`` = 12
+columns finds such a Q (Halko, Martinsson & Tropp, "Finding structure with
 randomness", SIAM Rev. 53(2), 2011), and every later factorization runs on
-B's rows.  They are 12, ``_SKETCH_FLOOR``, where the sketch's last four
-test columns show, by the paper's a-posteriori estimate, that nothing of Y
-beyond the first twelve directions reaches a tenth of the order cutoff: on
-the ``long`` pools every window, which holds at most 8 such directions.
-They are all 16 where more of Y's spectrum is above that, as on a slowly
-diffusing step window; fewer than 12 would let delta, and the certificate
-with it, grow.  delta travels with the estimate, and the certificate
-widens by it.  A window whose delta exceeds a tenth of the order cutoff,
-as noise makes it, is solved on the (L+1) x (L+1) triangular factor R of
-``Y = QR`` instead, with delta = 0.  A compressed window's two Y-sized
-arrays, the scaled copy of Y and the sketch's residual, are the halves of
-one allocation per call: glibc's malloc serves a block from its heap once
-one of that size has been freed, and trims the heap's top only past twice
-that size.  Freed together, two 400 KB buffers crossed that line on every
-call and were faulted in again (165 minor faults per 474-sample window); one
-800 KB block stays mapped.  Nothing is kept between calls.
+B's 12 rows: on the ``long`` pools a window holds at most 8 directions above
+a tenth of the order cutoff, and fewer rows would let delta, and the
+certificate with it, grow.  delta travels with the estimate, and the
+certificate widens by it.  A window whose delta exceeds a tenth of the
+order cutoff, as noise or a slowly diffusing step window makes it, is
+solved on the (L+1) x (L+1) triangular factor R of ``Y = QR`` instead, with
+delta = 0.  A compressed window's two Y-sized arrays, the scaled copy of Y
+and the sketch's residual, are the halves of one allocation per call:
+glibc's malloc serves a block from its heap once one of that size has been
+freed, and trims the heap's top only past twice that size.  Freed together,
+two 400 KB buffers crossed that line on every call and were faulted in
+again (165 minor faults per 474-sample window); one 800 KB block stays
+mapped.  Nothing is kept between calls.
 Only real nonincreasing signals are supported: complex or growing poles are
 treated as artifacts and dropped.
 The series coefficients are a separate linear least-squares fit of
@@ -51,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import SampleTrace
+from .model import SampleTrace, _exp_masked
 
 # Eigenvalues whose relative imaginary part exceeds this are discarded as
 # conjugate-pair artifacts; below it the real part is taken.
@@ -76,20 +73,11 @@ _ORDER_BAND = 1.01
 # Columns of the Gaussian test matrix that sketches a compressed window's
 # range, and the seed of its generator.  The numerical rank of a noiseless
 # window is at most 2 on the free window and 8 on the reconstruction window.
-_SKETCH_COLUMNS = 16
+# Below 12 columns delta itself grows: at 8 or 6 it reads a median 1.13x or
+# 1.28x larger on the ``long`` free windows of seeds 1-3 (1.38x or 1.90x on
+# the reconstruction windows), and the certificate widens with it.
+_SKETCH_COLUMNS = 12
 _SKETCH_SEED = 2011
-# Rows a sketch keeps when its last _SKETCH_COLUMNS - _SKETCH_FLOOR test
-# columns show that Y's spectrum beyond these rows lies below the delta
-# limit (_compress).  Below 12 rows delta itself grows: at 8 or 6 rows it
-# reads a median 1.13x or 1.28x larger on the ``long`` free windows of seeds
-# 1-3 (1.38x or 1.90x on the reconstruction windows), and the certificate
-# widens with it.
-_SKETCH_FLOOR = 12
-# Halko, Martinsson & Tropp's a-posteriori factor (section 4.3 of the paper
-# the module docstring cites): ||(I - P) Y||_2 is at most this times
-# max_j ||(I - P) Y omega_j|| over r standard Gaussian omega_j drawn
-# independently of the projector P, with probability at least 1 - 10**-r.
-_HALKO_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
 
 
 class PencilError(Exception):
@@ -152,12 +140,10 @@ class TruncatedPencil:
     C-contiguous copies.  On the direct path that matrix is the Hankel
     matrix Y, so ``y0[r, c] = y[L-1-c + r]`` and ``y1[r, c] = y[L-c + r]``
     have N-L rows; on a compressed window (L >= ``_COMPRESS_COLUMNS``) it is
-    the sketch ``B = Q.T @ Y`` of ``_SKETCH_FLOOR`` or ``_SKETCH_COLUMNS``
-    rows (12 where the sketch shows nothing of Y beyond 12 directions above
-    its delta limit, else 16), or Y's triangular factor R of L+1 rows where
-    noise defeats the sketch, so they
-    are ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular values,
-    2-norms and pencil up to the norm of what Q misses.
+    the sketch ``B = Q.T @ Y`` of ``_SKETCH_COLUMNS`` rows, or Y's
+    triangular factor R of L+1 rows where the sketch misses too much, so
+    they are ``Q.T @ Y0`` and ``Q.T @ Y1``, which have the same singular
+    values, 2-norms and pencil up to the norm of what Q misses.
     ``y0`` is approximated by ``(um * sv) @ vm.T``; the poles are the
     eigenvalues of ``(um.T @ y1 @ vm) / sv[:, None]``.  As
     :func:`factor_pencil` returns them, the factors are Y0's whole thin SVD;
@@ -179,9 +165,8 @@ def factor_pencil(y: np.ndarray) -> TruncatedPencil:
     columns, such as the triangular factor R of ``Y = QR``: only products
     with Y's column space enter the pencil.  The first column of ``y1`` is
     the column of ``y`` that Y0 lacks.  A Y0 with fewer rows than columns,
-    the 12 x L or 16 x L block of a sketch, is factored as
-    ``Y0.T = V S U.T``: LAPACK's tall path takes a fifth to a third less
-    time on the 16-row blocks.
+    the 12 x L block of a sketch, is factored as ``Y0.T = V S U.T``:
+    LAPACK's tall path takes a quarter to a third less time on it.
     """
     length = y.shape[1] - 1
     # Contiguous copies: the BLAS products of the pole solve and the
@@ -255,7 +240,7 @@ def fit_amplitudes(trace: SampleTrace, rates: np.ndarray) -> np.ndarray:
             f"{rates.size} rates need at least as many samples, "
             f"got {trace.values.size}"
         )
-    design = np.exp(-np.outer(trace.times, rates))
+    design = _exp_masked(-np.outer(trace.times, rates))
     amps, _, rank, _ = np.linalg.lstsq(design, trace.values, rcond=None)
     if rank < rates.size:
         # lstsq cuts at eps * max(shape) * sigma_max, and sigma_max is at
@@ -284,14 +269,12 @@ class PencilEstimate:
     factors of the pole solve at the detected order (None when no signal was
     detected): blocks of the Hankel matrix Y below ``_COMPRESS_COLUMNS``
     columns, blocks of its sketch B (or of its triangular factor R) at or
-    above it.  B has 12 rows where the sketch shows nothing of Y beyond 12
-    directions above its delta limit, and 16 otherwise.
-    ``singular_values`` is the spectrum of the block Y0 the pole solve
-    factored, from which the order on Y is read: Y0's L values on the
-    direct path, B's 12 or 16 on a sketched window and L on one solved on
-    R.  ``dropped_norm`` is the Frobenius norm delta of ``Y - Q @ B``,
-    formed explicitly, so it includes the sketch's own rounding; it is at
-    most a tenth of the order cutoff, and 0.0 on the direct path and on R.
+    above it.  ``singular_values`` is the spectrum of the block Y0 the pole
+    solve factored, from which the order on Y is read: Y0's L values on the
+    direct path, B's 12 on a sketched window and L on one solved on R.
+    ``dropped_norm`` is the Frobenius norm delta of ``Y - Q @ B``, formed
+    explicitly, so it includes the sketch's own rounding; it is at most a
+    tenth of the order cutoff, and 0.0 on the direct path and on R.
     ``order`` counts the poles kept after complex and growing ones are
     discarded.
     """
@@ -379,55 +362,25 @@ def _test_matrix(columns: int) -> np.ndarray:
     return omega
 
 
-@functools.lru_cache(maxsize=8)
-def _inverse_squared_norms(columns: int) -> np.ndarray:
-    """1 / ||omega_j||**2 for :func:`_test_matrix`'s columns, read-only."""
-    omega = _test_matrix(columns)
-    scales = 1.0 / (omega * omega).sum(axis=0)
-    scales.flags.writeable = False
-    return scales
-
-
 def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     """The pencil factors of ``Q.T @ y`` for an orthonormal Q whose columns
     nearly span ``y``'s, with the norm delta of what Q misses.
 
     Q is the range sketch of Halko, Martinsson & Tropp ("Finding structure
     with randomness", SIAM Rev. 53(2), 2011): QR = y @ Omega, Omega the
-    (L+1) x ``_SKETCH_COLUMNS`` test matrix.  Where delta would exceed the
-    limit, a tenth of the order cutoff ``_EPSILON * sigma_1``, the sketch
-    misses part of the spectrum the order counts, and the factors are those
-    of y's triangular factor R instead, with delta = 0: the sketch's limit
-    k = L + 1 with Omega = I.  Before any product of Q with y, R decides
-    how many of Q's columns to keep:
-      - sigma_1 >= ||R[:, j]|| / ||omega_j|| for every column j, since
-        ||R[:, j]|| = ||y omega_j||, and the largest of these ratios stands
-        for sigma_1 in the limit;
-      - Q's first ``_SKETCH_FLOOR`` columns span y @ Omega's first ones, so
-        R[_SKETCH_FLOOR:, j] holds what they miss of y omega_j, and Halko et
-        al.'s section 4.3 bounds what they miss of y by ``_HALKO_FACTOR``
-        times the largest of those norms over Omega's last four columns,
-        except with probability 10**-4.  Where that is below the limit, only
-        those columns are kept.  A window with more than ``_SKETCH_FLOOR``
-        directions above the limit, a slowly diffusing step window or a
-        noisy one, keeps all ``_SKETCH_COLUMNS``.
-    B = Q.T @ y is re-projected once, B += Q.T @ E with E = y - Q @ B, which
-    takes back what the first pass's rounding left in Q's range, and
-    delta = ||y - Q @ B||_F is formed explicitly and checked against the
-    limit with sigma_1 of B's Y0 block, so an estimate that errs costs the
-    R fallback's time, never a wrong delta.  Both residuals are written into
-    ``e``, a buffer of y's shape that :func:`analyze` allocates together
-    with y, so that the window's large arrays are one block (module
-    docstring).  ``y`` must be scaled so that no product overflows."""
-    q, r = np.linalg.qr(y @ _test_matrix(y.shape[1]))
-    limit = 0.1 * _EPSILON
-    # (||R[:, j]|| / ||omega_j||)**2, the largest a lower bound on sigma_1**2
-    seen = (r * r).sum(axis=0) * _inverse_squared_norms(y.shape[1])
-    cutoff = limit * math.sqrt(float(seen.max()))
-    # the norms of R's last columns below row _SKETCH_FLOOR, one per column
-    tail = max(map(math.hypot, *r[_SKETCH_FLOOR:, _SKETCH_FLOOR:].tolist()))
-    if _HALKO_FACTOR * tail < cutoff:
-        q = q[:, :_SKETCH_FLOOR]
+    (L+1) x ``_SKETCH_COLUMNS`` test matrix.  B = Q.T @ y is re-projected
+    once, B += Q.T @ E with E = y - Q @ B, which takes back what the first
+    pass's rounding left in Q's range, and delta = ||y - Q @ B||_F is formed
+    explicitly.  Where delta exceeds the limit, a tenth of the order cutoff
+    ``_EPSILON * sigma_1`` with sigma_1 that of B's Y0 block, the sketch
+    misses part of the spectrum the order counts, as on a noisy or slowly
+    diffusing window, and the factors are those of y's triangular factor R
+    instead, with delta = 0: the sketch's limit k = L + 1 with Omega = I.
+    Both residuals are written into ``e``, a buffer of y's shape that
+    :func:`analyze` allocates together with y, so that the window's large
+    arrays are one block (module docstring).  ``y`` must be scaled so that
+    no product overflows."""
+    q = np.linalg.qr(y @ _test_matrix(y.shape[1]))[0]
     b = q.T @ y
     # E = y - Q @ B twice: once to re-project, once for delta
     np.matmul(q, b, out=e)
@@ -436,11 +389,9 @@ def _compress(y: np.ndarray, e: np.ndarray) -> tuple[TruncatedPencil, float]:
     np.matmul(q, b, out=e)
     np.subtract(y, e, out=e)
     dropped = math.sqrt(float(np.vdot(e, e)))
-    # ||B||_F bounds sigma_1 from above: past it, B's SVD cannot pass
-    if dropped <= limit * math.sqrt(float(np.vdot(b, b))):
-        factors = factor_pencil(b)
-        if dropped <= limit * float(factors.sv[0]):
-            return factors, dropped
+    factors = factor_pencil(b)
+    if dropped <= 0.1 * _EPSILON * float(factors.sv[0]):
+        return factors, dropped
     return factor_pencil(np.linalg.qr(y, mode="r")), 0.0
 
 

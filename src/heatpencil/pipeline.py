@@ -98,7 +98,7 @@ def transform_step_window(trace: SampleTrace, free: FreeSpectrum) -> SampleTrace
     """
     i = np.arange(trace.values.size, dtype=float)
     with np.errstate(over="ignore"):  # a product past float64 decays to exp(-inf) = 0
-        decay = np.exp(-np.outer(trace.times, free.rates))
+        decay = _exp_masked(-np.outer(trace.times, free.rates))
     transformed = trace.values + trace.period * i - decay @ free.coefficients
     return SampleTrace(t_start=0.0, period=1.0, values=transformed)
 

@@ -374,13 +374,12 @@ class TestCertificateInputs:
         # window; the exact eigenbasis does not, nor does the bound on
         # ||Y1||.  The gap, sigma_{M+1} at rounding level, moves with the
         # kernel, and the pole bound with it, so neither is pinned.  Each
-        # window's row count is the sketch's floor of 12: the tail its test
-        # columns show reads orders of magnitude below the limit under
-        # every kernel
+        # window keeps the sketch's 12 rows: delta reads orders of
+        # magnitude below the limit under every kernel
         (kappa_h, y1_h, rows_h), (kappa_s, y1_s, rows_s) = self.inputs_under_blas_kernels(
             (300, 300, 474)
         )
-        assert rows_h == rows_s == [heatpencil.pencil._SKETCH_FLOOR] * 3
+        assert rows_h == rows_s == [heatpencil.pencil._SKETCH_COLUMNS] * 3
         assert math.isfinite(kappa_h)
         assert kappa_s == pytest.approx(kappa_h, rel=1e-6)
         assert y1_s == pytest.approx(y1_h, rel=1e-12)

@@ -366,7 +366,7 @@ class TestCompressedPath:
             assert compressed.order == direct.order == 2
             np.testing.assert_allclose(compressed.poles, direct.poles, rtol=1e-12, atol=0)
             np.testing.assert_allclose(compressed.rates, direct.rates, rtol=1e-12, atol=0)
-            # Y0's spectrum, of which the sketch's 16 rows carry the first 16
+            # Y0's spectrum, of which the sketch's 12 rows carry the first 12
             sigma = svdvals(build_hankel(trace)[:, :-1])
             kept = compressed.singular_values.size
             assert kept < compressed.pencil_parameter
@@ -476,10 +476,10 @@ class TestCompressedPath:
         est = analyze(trace)
         assert est.pencil_parameter == length
         # Y's N - L rows on the direct path; on the compressed one, the
-        # sketch's floor of 12 rows, whatever the BLAS kernel: its last test
-        # columns show nothing of this two-mode window beyond them
+        # sketch's 12 rows, whatever the BLAS kernel: they miss nothing of
+        # this two-mode window beyond rounding
         direct = length < pencil._COMPRESS_COLUMNS
-        rows = count - length if direct else pencil._SKETCH_FLOOR
+        rows = count - length if direct else pencil._SKETCH_COLUMNS
         truncated = est.truncated_pencil
         assert est.singular_values.size == min(rows, length)
         assert truncated.y0.shape == (rows, length)
@@ -508,9 +508,9 @@ class TestCompressedPath:
 class TestSketch:
     """The compressed path's Gaussian test matrix and its R fallback."""
 
-    # SHA-256 of the 101 x 16 test matrix's bytes: a numpy release that
+    # SHA-256 of the 101 x 12 test matrix's bytes: a numpy release that
     # moves default_rng's normal stream moves every compressed result
-    OMEGA_101_SHA256 = "0505358d98af5116760aa2b7ee6da84b97bc76080d8354c9865c7794e64d02e6"
+    OMEGA_101_SHA256 = "ce48629d008af099b8320ed00e1a55905080c67aa06ffb29b30d22e990013e12"
 
     def test_test_matrix_is_read_only(self):
         omega = pencil._test_matrix(101)
@@ -521,7 +521,7 @@ class TestSketch:
     def test_test_matrix_is_pinned(self):
         omega = pencil._test_matrix(101)
         assert hashlib.sha256(omega.tobytes()).hexdigest() == self.OMEGA_101_SHA256
-        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 16)
+        draws = np.random.default_rng(pencil._SKETCH_SEED).standard_normal(101 * 12)
         assert omega.tobytes() == draws.tobytes()
 
     def test_global_generator_untouched(self):
@@ -551,46 +551,43 @@ class TestSketch:
         return sample_windows(problem, 300, 300, 0.01, 474)
 
     @pytest.mark.filterwarnings("ignore:discarding:UserWarning")  # the step drift reads as growth
-    def test_reference_long_windows_keep_the_floor(self):
+    def test_reference_long_windows_keep_the_sketch(self):
         # at most 8 directions of these windows lie above the delta limit,
-        # and the sketch's last 4 test columns show it: every factorization
-        # after the QR runs on 12 rows
+        # which the sketch's 12 columns capture: every factorization after
+        # the QR runs on 12 rows
         for trace in self.long_windows():
             est = analyze(trace)
             length = est.pencil_parameter
-            assert est.truncated_pencil.y0.shape == (pencil._SKETCH_FLOOR, length)
-            assert est.singular_values.size == pencil._SKETCH_FLOOR
+            assert est.truncated_pencil.y0.shape == (pencil._SKETCH_COLUMNS, length)
+            assert est.singular_values.size == pencil._SKETCH_COLUMNS
             assert 0.0 < est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
 
     @pytest.mark.filterwarnings("ignore:discarding:UserWarning")  # the step drift reads as growth
-    def test_slow_diffusion_step_window_keeps_every_column(self, monkeypatch):
+    def test_slow_diffusion_step_window_falls_back_to_r(self):
         # at alpha = 0.5 the step window's spectrum falls slowly: more than
-        # 12 of its directions lie above the limit, the sketch's last test
-        # columns show them, and all 16 rows are kept
+        # 12 of its directions lie above the limit, so delta, formed and
+        # checked, sends the window to R, all of whose rows are kept, and
+        # the order is Y's own
         step = self.long_windows(0.5)[1]
         est = analyze(step)
-        assert est.truncated_pencil.y0.shape == (pencil._SKETCH_COLUMNS, 100)
-        assert 0.0 < est.dropped_norm <= 0.1 * pencil._EPSILON * est.singular_values[0]
-        # 12 rows would miss more than the limit: delta, formed and checked,
-        # sends the window to R, so a wrong estimate costs time, not delta
-        monkeypatch.setattr(pencil, "_HALKO_FACTOR", 0.0)
-        forced = analyze(step)
-        assert forced.truncated_pencil.y0.shape == (101, 100)
-        assert forced.dropped_norm == 0.0
-        assert forced.order == est.order
+        assert est.truncated_pencil.y0.shape == (101, 100)
+        assert est.singular_values.size == 100
+        assert est.dropped_norm == 0.0
+        order = detect_order(svdvals(build_hankel(step)), pencil._EPSILON)
+        assert est.truncated_pencil.sv.size == order
 
-    def test_cutoff_reads_every_test_column(self):
+    def test_a_test_column_blind_to_y_keeps_the_sketch(self):
         # the reference free window with the first test column removed from
-        # its row space: y @ omega_1 and R_11 are at rounding level, and the
-        # other columns' ||y omega_j|| / ||omega_j|| bound sigma_1 instead,
-        # so the sketch still keeps the floor
+        # its row space: y @ omega_1 is at rounding level, and the other 11
+        # columns still capture the window's directions, so delta stays
+        # within the limit and the sketch's rows are kept
         free = self.long_windows()[0]
         y = build_hankel(free) / np.max(np.abs(free.values))
         first = pencil._test_matrix(y.shape[1])[:, 0]
         y = y - np.outer(y @ first, first) / (first @ first)
         factors, dropped = pencil._compress(y, np.empty_like(y))
         assert np.linalg.norm(y @ first) < 1e-12 * np.linalg.norm(y, 2) * np.linalg.norm(first)
-        assert factors.y0.shape == (pencil._SKETCH_FLOOR, y.shape[1] - 1)
+        assert factors.y0.shape == (pencil._SKETCH_COLUMNS, y.shape[1] - 1)
         assert 0.0 < dropped <= 0.1 * pencil._EPSILON * factors.sv[0]
 
     def test_noise_below_the_cutoff_keeps_the_sketch(self):

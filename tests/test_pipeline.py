@@ -425,10 +425,9 @@ class TestFactorizationCounts:
 
     def test_long_windows_factor_each_hankel_matrix_once(self, counts, shapes):
         # 300/300/474 samples: L = 100, 100 and 158, each window compressed
-        # by one QR of the (N - L) x 16 product Y Omega to the sketch's 12
-        # rows, since its last 4 test columns show nothing beyond them, and
-        # otherwise the reference's factorizations; the row count is the
-        # sketch's floor, which no BLAS kernel's rounding moves.  The
+        # by one QR of the (N - L) x 12 product Y Omega to the sketch's 12
+        # rows, and otherwise the reference's factorizations; the row count
+        # is the sketch's width, which no BLAS kernel's rounding moves.  The
         # certificate factors nothing L x L: its one eig is of the M x M
         # pole matrix, its SVDs of the M x L matrix Z^-1 B - V_M.T and of a
         # matrix of at most 2M x 2M
@@ -439,7 +438,7 @@ class TestFactorizationCounts:
         order = result.free_spectrum.estimate.truncated_pencil.sv.size
         assert order < result.certificate.inputs.l == 100
         assert shapes["eig"] == [(order, order)]
-        assert shapes["qr"] == [(200, 16), (200, 16), (316, 16)]
+        assert shapes["qr"] == [(200, 12), (200, 12), (316, 12)]
         # Y0's block of each sketch, 12 x L, factored through its transpose
         pencils = [(100, 12), (100, 12), (158, 12)]
         design = (474, result.u0_coeffs_hat.size)  # the GCV design matrix

@@ -206,7 +206,7 @@ def test_pole_bound_holds_on_compressed_windows(case):
     issued = check_pole_bound(case)
     if issued is None:
         return
-    # the pole solve runs on Y's 16-row sketch, which misses delta of Y at
+    # the pole solve runs on Y's 12-row sketch, which misses delta of Y at
     # rounding level; the inputs it certifies with still dominate LAPACK's
     # values on the whole Hankel blocks
     free, result = issued

@@ -17,12 +17,12 @@ the same outputs on the edge problems no seeded pool holds:
   windows (50/50/79 samples), with no priors and with priors (5, 3), so the
   path of a free window without detectable modes is compared too;
 - the reference initial state at alpha = 0.2, 0.5 and 1 on the ``long``
-  windows (300/300/474 samples), with the benchmark's priors: slowly
-  diffusing step windows keep the sketch's 16 rows where the pools' windows
-  keep 12;
+  windows (300/300/474 samples), with the benchmark's priors: the slowly
+  diffusing step windows of alpha = 0.2 and 0.5 are the only noiseless
+  inputs that leave the sketch's 12 rows for Y's triangular factor R;
 - the reference problem's ``long`` windows with seeded Gaussian noise of
   1e-12 and 1e-8 on the 474-sample reconstruction window, which keeps the
-  16-row sketch and leaves it for Y's triangular factor, respectively.
+  12-row sketch and leaves it for R, respectively.
 
 One line digests the ``repr`` of
 every ``FieldCheck`` that ``reference.compare_reference_run`` returns for
